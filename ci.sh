@@ -46,8 +46,9 @@ run_pass() {
 
 # The native pass proves the tuned kernels are still bit-compatible: the
 # oracle/threshold/verifier/engine tests all compare against untuned code or
-# naive reference DPs compiled without -march=native.
-native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch'
+# naive reference DPs compiled without -march=native, and the kNN/bounded
+# tests pin the bounded DP's returned distances (not just its verdicts).
+native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|Knn|Bounded'
 
 # The TSan pass covers every code path that shares memory across pool
 # threads: the pool itself, parallel index construction and tiling sorts

@@ -982,7 +982,13 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
   // Iterative threshold expansion: collect candidates at radius tau, keep
   // exact distances, and stop once k answers lie within tau (then no
   // trajectory outside radius tau can belong to the kNN set, because every
-  // result within tau beats it).
+  // result within tau beats it). Only candidates within tau can enter a
+  // round, so each is scored with the distance bounded at tau: the exact
+  // value when it is within, +inf otherwise — and a candidate far outside
+  // tau is rejected by the kernel's anchor bound or window after O(1) or a
+  // few rows instead of paying the full O(mn) DP. Nothing is carried across
+  // rounds: with rejections this cheap a per-query cache of exact distances
+  // has little left to save, and a query leaves no state behind.
   std::vector<std::pair<TrajectoryId, double>> scored;
   // Snapshot of `scored` after the most recent *fully completed* round. A
   // complete round at radius tau enumerated every trajectory within tau, so
@@ -991,13 +997,6 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
   // nothing of the sort, so a stopped query falls back to this snapshot.
   std::vector<std::pair<TrajectoryId, double>> last_complete;
   bool stopped_early = false;
-  // Per-partition memo of exact distances: expansion rounds re-collect most
-  // of the previous round's candidates (the radius only grows), and exact
-  // DP scores are the expensive part, so they are computed once per
-  // (partition, position) across all rounds. Each partition appears in at
-  // most one task per round, so its map needs no locking — and memoized
-  // distances from an abandoned round stay valid for the next one.
-  std::vector<std::unordered_map<uint32_t, double>> memo(partitions_.size());
   size_t total_candidates = 0;
   size_t probed = 0;
   const bool sketch = SketchActive();
@@ -1044,10 +1043,9 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
     for (size_t idx = 0; idx < relevant.size(); ++idx) {
       const uint32_t pid = relevant[idx];
       const Partition* part = &partitions_[pid];
-      std::unordered_map<uint32_t, double>* part_memo = &memo[pid];
       RoundOut* out = &outs[idx];
       tasks.push_back({part->home_worker,
-                       [&, part, part_memo, out] {
+                       [&, part, out] {
         TrieIndex::SearchSpec spec = MakeSpec(q, tau);
         spec.ctx = ctx;
         DpScratch& scratch = DpScratch::ThreadLocal();
@@ -1061,16 +1059,9 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
               !part->precomp[pos].sig.bits.SubsetOf(dilated)) {
             continue;
           }
-          // Exact distance needed for ranking; WithinThreshold's boolean
-          // answer is not enough here. Memoized across expansion rounds.
-          double d;
-          const auto it = part_memo->find(pos);
-          if (it != part_memo->end()) {
-            d = it->second;
-          } else {
-            d = distance_->Compute(part->precomp[pos].soa.view(), qv, &scratch);
-            part_memo->emplace(pos, d);
-          }
+          // Exact distance needed for ranking, but only within tau.
+          const double d = distance_->ComputeBounded(
+              part->precomp[pos].soa.view(), qv, tau, &scratch);
           if (d <= tau) {
             out->scored.emplace_back(part->trie.trajectory(pos).id(), d);
           }
@@ -1119,7 +1110,7 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
   }
 
   std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
+            [](const auto& a, const auto& b) { return KnnRankLess(a, b); });
   if (scored.size() > k) scored.resize(k);
   if (stats != nullptr) {
     stats->makespan_seconds = cluster_->MakespanSince(snap);
@@ -1168,8 +1159,7 @@ Result<std::vector<DitaEngine::KnnJoinRow>> DitaEngine::KnnJoin(
   }
   std::sort(rows.begin(), rows.end(), [](const KnnJoinRow& a, const KnnJoinRow& b) {
     if (a.left != b.left) return a.left < b.left;
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.right < b.right;
+    return KnnRankLess(a.distance, a.right, b.distance, b.right);
   });
   return rows;
 }

@@ -140,6 +140,20 @@ struct QueryRequest {
   bool collect_stats = true;
 };
 
+/// The one total order of kNN answers: ascending distance, ties broken by
+/// ascending id. The engine's kNN search, its kNN join and the service's
+/// base + delta merge all rank with it, so the ids returned at a tie never
+/// depend on the order candidates were scored in.
+inline bool KnnRankLess(double da, TrajectoryId ia, double db,
+                        TrajectoryId ib) {
+  if (da != db) return da < db;
+  return ia < ib;
+}
+inline bool KnnRankLess(const std::pair<TrajectoryId, double>& a,
+                        const std::pair<TrajectoryId, double>& b) {
+  return KnnRankLess(a.second, a.first, b.second, b.first);
+}
+
 /// The unified response: exactly one of the payload vectors is populated
 /// (matching `kind`), alongside the corresponding stats block.
 struct QueryResult {
@@ -149,7 +163,7 @@ struct QueryResult {
   std::vector<TrajectoryId> ids;
   /// kJoin: (left_id, right_id) pairs, sorted.
   std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
-  /// kKnnSearch: (id, distance) pairs sorted by distance.
+  /// kKnnSearch: (id, distance) pairs in KnnRankLess order.
   std::vector<std::pair<TrajectoryId, double>> neighbors;
 
   QueryStats search_stats;  // kSearch / kKnnSearch
@@ -258,9 +272,10 @@ class DitaEngine {
 
   /// kNN similarity search (the paper's §8 future work): the k trajectories
   /// closest to `q` under the engine's distance, as (id, distance) pairs
-  /// sorted by distance. Implemented by iterative threshold expansion over
+  /// in KnnRankLess order. Implemented by iterative threshold expansion over
   /// the threshold search machinery: double tau until at least k verified
-  /// answers exist, then rank candidates by exact distance. Exact for
+  /// answers exist; each round scores candidates with the distance bounded
+  /// at that round's tau (ComputeBounded). Exact for
   /// kAccumulate/kMax distances; `initial_tau` seeds the expansion (0 picks
   /// a data-derived default). `ctx` behaves as in Search; a stopped kNN
   /// query returns the last fully-completed expansion round's answers
@@ -282,7 +297,7 @@ class DitaEngine {
   /// kNN similarity join (§8 future work): for every trajectory of this
   /// table, its k nearest trajectories in `right`, via per-trajectory
   /// threshold expansion against the right table's index. Rows are grouped
-  /// by left id (ascending), each group sorted by distance.
+  /// by left id (ascending), each group in KnnRankLess order.
   Result<std::vector<KnnJoinRow>> KnnJoin(const DitaEngine& right,
                                           size_t k) const;
 

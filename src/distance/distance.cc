@@ -1,5 +1,7 @@
 #include "distance/distance.h"
 
+#include <limits>
+
 #include "distance/dtw.h"
 #include "distance/edr.h"
 #include "distance/erp.h"
@@ -26,10 +28,29 @@ bool TrajectoryDistance::WithinThreshold(const Trajectory& t,
   return WithinThreshold(tv, qv, tau, &scratch);
 }
 
+double TrajectoryDistance::ComputeBounded(const Trajectory& t,
+                                          const Trajectory& q,
+                                          double bound) const {
+  DpScratch& scratch = DpScratch::ThreadLocal();
+  const TrajView tv = scratch.ExtractA(t);
+  const TrajView qv = scratch.ExtractB(q);
+  return ComputeBounded(tv, qv, bound, &scratch);
+}
+
 bool TrajectoryDistance::WithinThreshold(const TrajView& t, const TrajView& q,
                                          double tau,
                                          DpScratch* scratch) const {
   return Compute(t, q, scratch) <= tau;
+}
+
+double TrajectoryDistance::ComputeBounded(const TrajView& t, const TrajView& q,
+                                          double bound,
+                                          DpScratch* scratch) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // An unbounded call is the plain DP (and keeps tau = inf out of the
+  // threshold kernels, whose band widths assume a finite tau).
+  if (bound == kInf) return Compute(t, q, scratch);
+  return WithinThreshold(t, q, bound, scratch) ? Compute(t, q, scratch) : kInf;
 }
 
 Result<std::shared_ptr<TrajectoryDistance>> MakeDistance(

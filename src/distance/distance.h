@@ -62,6 +62,13 @@ class TrajectoryDistance {
   bool WithinThreshold(const Trajectory& t, const Trajectory& q,
                        double tau) const;
 
+  /// Bounded exact distance: Compute(t, q) when it is <= bound, +inf
+  /// otherwise. Like WithinThreshold it may abandon the dynamic program once
+  /// the result provably exceeds the bound, so a candidate far outside the
+  /// bound costs little. A DP cut short by cancellation also reads as +inf.
+  double ComputeBounded(const Trajectory& t, const Trajectory& q,
+                        double bound) const;
+
   /// Kernel entry points over flat SoA coordinate views. Hot paths (batch
   /// verification, kNN scoring) hold precomputed SoaTrajectory views and
   /// call these directly; `scratch` supplies the DP rows and is typically
@@ -70,6 +77,11 @@ class TrajectoryDistance {
                          DpScratch* scratch) const = 0;
   virtual bool WithinThreshold(const TrajView& t, const TrajView& q,
                                double tau, DpScratch* scratch) const;
+  /// Default: WithinThreshold(bound) ? Compute : +inf. DTW overrides it
+  /// with its windowed threshold kernel, whose final cell is the exact
+  /// distance whenever it lies within the bound.
+  virtual double ComputeBounded(const TrajView& t, const TrajView& q,
+                                double bound, DpScratch* scratch) const;
 };
 
 /// Creates a distance instance. Returns InvalidArgument for unknown types.

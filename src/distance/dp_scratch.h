@@ -63,8 +63,9 @@ class DpScratch {
   /// QueryContext for the duration of a batch (including on pool threads),
   /// and the threshold kernels poll it every few rows via PollRows. Without
   /// a context the poll is one null-pointer branch. A kernel observing a
-  /// stop abandons the DP and reports "not within" — safe because the
-  /// stopped task's entire output is dropped by the engine.
+  /// stop abandons the DP and reports "not within" (+inf from a bounded
+  /// kernel) — safe because the stopped task's entire output is dropped by
+  /// the engine.
   void SetQueryContext(QueryContext* ctx) { ctx_ = ctx; }
   QueryContext* query_context() const { return ctx_; }
   /// Charges `rows` DP rows; true when the query must stop.

@@ -14,6 +14,11 @@ bool Dtw::WithinThreshold(const TrajView& t, const TrajView& q, double tau,
   return kernels::DtwWithin(t, q, tau, *scratch);
 }
 
+double Dtw::ComputeBounded(const TrajView& t, const TrajView& q, double bound,
+                           DpScratch* scratch) const {
+  return kernels::DtwBounded(t, q, bound, *scratch);
+}
+
 double Dtw::AccumulatedMinDistance(const Trajectory& t, const Trajectory& q) {
   DpScratch& scratch = DpScratch::ThreadLocal();
   const TrajView tv = scratch.ExtractA(t);

@@ -10,10 +10,13 @@ namespace dita {
 /// double-direction anchor bound rejects cheaply, then a single forward pass
 /// keeps only the per-row window of columns that can still lie on a path of
 /// cost <= tau (every continuation must pay the last anchor distance).
+/// That kernel's final cell is the exact distance, so ComputeBounded and
+/// WithinThreshold are one kernel body.
 class Dtw : public TrajectoryDistance {
  public:
   using TrajectoryDistance::Compute;
   using TrajectoryDistance::WithinThreshold;
+  using TrajectoryDistance::ComputeBounded;
 
   DistanceType type() const override { return DistanceType::kDTW; }
   std::string name() const override { return "DTW"; }
@@ -24,6 +27,8 @@ class Dtw : public TrajectoryDistance {
                  DpScratch* scratch) const override;
   bool WithinThreshold(const TrajView& t, const TrajView& q, double tau,
                        DpScratch* scratch) const override;
+  double ComputeBounded(const TrajView& t, const TrajView& q, double bound,
+                        DpScratch* scratch) const override;
 
   /// Accumulated minimum distance AMD (Lemma 4.1): an O(mn) lower bound on
   /// DTW. Exposed for tests and ablations.

@@ -96,19 +96,24 @@ double DtwCompute(const TrajView& a, const TrajView& b, DpScratch& s) {
 // reference's row-min abandon test uses. Conversely a live cell can never
 // take its DP minimum from a dead predecessor (the resulting value would be
 // dead by the same argument), so live cells compute bit-identical values to
-// the full DP and the final accept/reject decision is unchanged.
-bool DtwWithin(const TrajView& a, const TrajView& b, double tau, DpScratch& s) {
+// the full DP and the final accept/reject decision is unchanged. In
+// particular the final cell, when live, holds exactly DtwCompute's value,
+// which is what the kernel returns; every rejection returns +inf.
+double DtwBounded(const TrajView& a, const TrajView& b, double tau,
+                  DpScratch& s) {
   const size_t m = a.len;
   const size_t n = b.len;
-  if (m == 0 || n == 0) return m == n && 0.0 <= tau;
+  if (tau == kInf) return DtwCompute(a, b, s);
+  const auto within = [tau](double v) { return v <= tau ? v : kInf; };
+  if (m == 0 || n == 0) return m == n ? within(0.0) : kInf;
 
   const double d00 = Dist(a, 0, b, 0);
-  if (m == 1 && n == 1) return d00 <= tau;
+  if (m == 1 && n == 1) return within(d00);
   const double d_last = Dist(a, m - 1, b, n - 1);
   // Double-direction anchor bound: every warping path includes both
   // endpoint alignments, so their sum already lower-bounds DTW.
-  if (d00 + d_last > tau) return false;
-  if (m == 1 || n == 1) return DtwCompute(a, b, s) <= tau;
+  if (d00 + d_last > tau) return kInf;
+  if (m == 1 || n == 1) return within(DtwCompute(a, b, s));
 
   double* row = s.RowA(n);
   double* dist = s.Dist(n);
@@ -129,7 +134,7 @@ bool DtwWithin(const TrajView& a, const TrajView& b, double tau, DpScratch& s) {
   for (size_t i = 1; i < m; ++i) {
     // Cooperative cancellation: a false accept is impossible here (stopped
     // queries drop this pair's verdict entirely), so bailing mid-DP is safe.
-    if ((i & 31) == 0 && s.PollRows(32)) return false;
+    if ((i & 31) == 0 && s.PollRows(32)) return kInf;
     const bool final_row = i + 1 == m;
     RowDistances(a.xs[i], a.ys[i], b, beg, std::min(end + 1, n), dist);
     size_t new_beg = n;
@@ -173,14 +178,18 @@ bool DtwWithin(const TrajView& a, const TrajView& b, double tau, DpScratch& s) {
         last_live = j;
       }
     }
-    if (new_beg == n) return false;  // the whole frontier exceeds tau
+    if (new_beg == n) return kInf;  // the whole frontier exceeds tau
     beg = new_beg;
     end = last_live + 1;
     if (beg > 0) row[beg - 1] = kInf;
     if (end < n) row[end] = kInf;
   }
   // The final cell is live iff its value is within tau.
-  return end == n;
+  return end == n ? row[n - 1] : kInf;
+}
+
+bool DtwWithin(const TrajView& a, const TrajView& b, double tau, DpScratch& s) {
+  return DtwBounded(a, b, tau, s) <= tau;
 }
 
 double DtwAmd(const TrajView& a, const TrajView& b) {
@@ -427,11 +436,15 @@ size_t LcssSimilarity(const TrajView& a, const TrajView& b, double epsilon,
 
 bool LcssWithin(const TrajView& a, const TrajView& b, double epsilon,
                 long delta, double tau, DpScratch& s) {
-  // min(m, n) - lcss <= tau  <=>  lcss >= min(m, n) - tau. Cheap pre-check:
-  // the index constraint caps achievable similarity by min(m, n), so a
-  // negative requirement is trivially met.
-  const double required = static_cast<double>(std::min(a.len, b.len)) - tau;
-  if (required <= 0) return true;
+  // Decided in distance space — min(m, n) - lcss against tau, the double
+  // comparison Compute(t, q) <= tau makes — rather than as lcss >= min(m, n)
+  // - tau, whose subtraction rounds at fractional or tiny tau. Cheap
+  // pre-check: the distance never exceeds min(m, n).
+  const size_t shorter = std::min(a.len, b.len);
+  const auto within = [shorter, tau](size_t sim) {
+    return static_cast<double>(shorter - std::min(shorter, sim)) <= tau;
+  };
+  if (within(0)) return true;
 
   const SqThreshold eps = SqThreshold::For(epsilon);
   // Banded DP with an upper-bound abandon: after row i the similarity can
@@ -465,12 +478,10 @@ bool LcssWithin(const TrajView& a, const TrajView& b, double epsilon,
       row[j] = std::max(row[hi], prev[j]);
       row_best = std::max(row_best, row[j]);
     }
-    if (static_cast<double>(row_best + static_cast<size_t>(m - i)) < required) {
-      return false;
-    }
+    if (!within(row_best + static_cast<size_t>(m - i))) return false;
     std::swap(row, prev);
   }
-  return static_cast<double>(prev[n]) >= required;
+  return within(prev[n]);
 }
 
 double ErpCompute(const TrajView& a, const TrajView& b, const Point& gap,

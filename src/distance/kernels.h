@@ -52,6 +52,10 @@ struct SqThreshold {
 /// thread has seen. Each is bit-compatible with the pre-kernel reference
 /// implementation (see DESIGN.md for the per-metric argument).
 double DtwCompute(const TrajView& a, const TrajView& b, DpScratch& s);
+/// Exact DTW when it is <= tau, else +inf (also on a cancelled DP). The
+/// windowed threshold kernel; DtwWithin is `DtwBounded <= tau`.
+double DtwBounded(const TrajView& a, const TrajView& b, double tau,
+                  DpScratch& s);
 bool DtwWithin(const TrajView& a, const TrajView& b, double tau, DpScratch& s);
 /// AMD lower bound (Lemma 4.1): squared min per row, one sqrt per row.
 double DtwAmd(const TrajView& a, const TrajView& b);

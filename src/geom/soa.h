@@ -23,7 +23,8 @@ struct TrajView {
 /// Owning SoA copy of a trajectory's coordinates. Extracted once per indexed
 /// trajectory (into VerifyPrecomp, at index-build time) so verification never
 /// re-walks the Point array; ad-hoc callers extract into DpScratch lanes
-/// instead.
+/// instead. Both lanes share one heap buffer — xs in its first half, ys in
+/// its second — so an indexed trajectory costs one allocation, not two.
 class SoaTrajectory {
  public:
   SoaTrajectory() = default;
@@ -31,27 +32,27 @@ class SoaTrajectory {
 
   void Assign(const Trajectory& t) {
     const auto& pts = t.points();
-    xs_.resize(pts.size());
-    ys_.resize(pts.size());
-    for (size_t i = 0; i < pts.size(); ++i) {
-      xs_[i] = pts[i].x;
-      ys_[i] = pts[i].y;
+    const size_t n = pts.size();
+    lanes_.resize(2 * n);
+    for (size_t i = 0; i < n; ++i) {
+      lanes_[i] = pts[i].x;
+      lanes_[n + i] = pts[i].y;
     }
   }
 
-  TrajView view() const { return TrajView{xs_.data(), ys_.data(), xs_.size()}; }
-  size_t size() const { return xs_.size(); }
-  bool empty() const { return xs_.empty(); }
-
-  /// Heap bytes held by the two coordinate lanes; counted into
-  /// IndexStats::local_index_bytes so index-size reporting stays honest.
-  size_t ByteSize() const {
-    return (xs_.capacity() + ys_.capacity()) * sizeof(double);
+  TrajView view() const {
+    const size_t n = size();
+    return TrajView{lanes_.data(), lanes_.data() + n, n};
   }
+  size_t size() const { return lanes_.size() / 2; }
+  bool empty() const { return lanes_.empty(); }
+
+  /// Heap bytes held by the coordinate lanes; counted into
+  /// IndexStats::local_index_bytes so index-size reporting stays honest.
+  size_t ByteSize() const { return lanes_.capacity() * sizeof(double); }
 
  private:
-  std::vector<double> xs_;
-  std::vector<double> ys_;
+  std::vector<double> lanes_;
 };
 
 }  // namespace dita

@@ -1274,15 +1274,26 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
     }
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
-  // Delta trajectories are scored with the same DP kernel the engine uses,
-  // so merged distances are bit-comparable with the base's.
+  // Delta trajectories are scored with the same bounded DP kernel the
+  // engine uses, so merged distances are bit-comparable with the base's.
+  // Once k live base answers exist, an insert farther than the k-th of them
+  // cannot rank, so the k-th live base distance bounds the scan (`scored`
+  // is still the engine's KnnRankLess order here); an insert at exactly
+  // that distance keeps its exact value and competes on id.
+  const double bound = scored.size() >= req.k
+                           ? scored[req.k - 1].second
+                           : std::numeric_limits<double>::infinity();
+  DpScratch& scratch = DpScratch::ThreadLocal();
+  const TrajView qv = scratch.ExtractB(req.query);
   for (const Trajectory& t : snap.inserts) {
     ++res.serving.delta_scanned;
-    scored.emplace_back(t.id(), distance_->Compute(t, req.query));
+    const double d =
+        distance_->ComputeBounded(scratch.ExtractA(t), qv, bound, &scratch);
+    if (d <= bound) scored.emplace_back(t.id(), d);
   }
   if (split != nullptr) split->delta_done_seconds = NowSeconds();
   std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
+            [](const auto& a, const auto& b) { return KnnRankLess(a, b); });
   if (scored.size() > req.k) scored.resize(req.k);
   for (const auto& [id, d] : scored) {
     (void)d;

@@ -314,6 +314,61 @@ TEST_F(OracleEquivalence, WithinThresholdMatchesNaiveOracle) {
   }
 }
 
+TEST_F(OracleEquivalence, ComputeBoundedIsComputeWithinTheBound) {
+  // ComputeBounded returns Compute's exact value when it is <= the bound and
+  // +inf otherwise. Bounds: the distance itself, one ulp either side of it,
+  // fixed and random bounds on both sides, and no bound at all. No float-tie
+  // skip is needed: the comparison is against the same kernels' Compute
+  // (itself bit-identical to the naive oracles above), and a bound equal to
+  // the distance must accept. WithinThreshold must agree bound for bound.
+  const DistanceParams params = Params();
+  Rng rng(4321);
+  for (DistanceType type :
+       {DistanceType::kDTW, DistanceType::kFrechet, DistanceType::kEDR,
+        DistanceType::kLCSS, DistanceType::kERP}) {
+    auto dist = *MakeDistance(type, params);
+    for (const auto& [a, b] : OraclePairs()) {
+      const double d = dist->Compute(a, b);
+      std::vector<double> bounds = {0.0,
+                                    d,
+                                    std::nextafter(d, -kInf),
+                                    std::nextafter(d, kInf),
+                                    d * 0.5,
+                                    d * 2.0 + 0.25,
+                                    kInf};
+      for (int r = 0; r < 4; ++r) bounds.push_back(rng.Uniform(0.0, 2.0 * d + 1.0));
+      for (double bound : bounds) {
+        const double got = dist->ComputeBounded(a, b, bound);
+        if (d <= bound) {
+          EXPECT_EQ(got, d) << dist->name() << " len " << a.size() << " x "
+                            << b.size() << " bound=" << bound;
+        } else {
+          EXPECT_EQ(got, kInf) << dist->name() << " len " << a.size()
+                               << " x " << b.size() << " d=" << d
+                               << " bound=" << bound;
+        }
+        if (std::isfinite(bound)) {
+          EXPECT_EQ(dist->WithinThreshold(a, b, bound), d <= bound)
+              << dist->name() << " d=" << d << " bound=" << bound;
+        }
+      }
+    }
+  }
+}
+
+TEST(ThresholdEdge, BoundedDtwAtIntegerGridBoundaries) {
+  // Exactly representable distances: the bounded kernel returns the exact
+  // value at bound == d and rejects one ulp below it, on a path that must
+  // pay 5 then 10 (the column window and the final-cell test both matter).
+  const Trajectory c(2, {{0, 0}, {3, 4}, {6, 8}});
+  const Trajectory z(3, {{0, 0}, {0, 0}, {0, 0}});
+  Dtw dtw;
+  EXPECT_EQ(dtw.ComputeBounded(c, z, 15.0), 15.0);
+  EXPECT_EQ(dtw.ComputeBounded(c, z, 100.0), 15.0);
+  EXPECT_EQ(dtw.ComputeBounded(c, z, std::nextafter(15.0, 0.0)), kInf);
+  EXPECT_EQ(dtw.ComputeBounded(c, z, 4.0), kInf);  // anchor bound rejects
+}
+
 TEST(ThresholdEdge, IntegerGridExactBoundaries) {
   // 3-4-5 grids make every distance, sum, and threshold exactly
   // representable, so accept/reject at tau == d is deterministic — no
@@ -387,6 +442,8 @@ TEST(DpScratchTest, SteadyStateComputationsAreAllocationFree) {
         const double d = dist->Compute(a, b);
         (void)dist->WithinThreshold(a, b, d * 0.9);
         (void)dist->WithinThreshold(a, b, d * 1.1);
+        (void)dist->ComputeBounded(a, b, d * 0.9);
+        (void)dist->ComputeBounded(a, b, d * 1.1);
       }
     }
     for (const auto& [a, b] : pairs) {

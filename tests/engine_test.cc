@@ -213,6 +213,17 @@ INSTANTIATE_TEST_SUITE_P(AllDistances, EngineJoinProperty,
                            return DistanceTypeName(info.param);
                          });
 
+/// Every trajectory's exact distance to `q`, in KnnRankLess order.
+std::vector<std::pair<TrajectoryId, double>> BruteForceRanking(
+    const std::vector<Trajectory>& data, const TrajectoryDistance& dist,
+    const Trajectory& q) {
+  std::vector<std::pair<TrajectoryId, double>> all;
+  for (const auto& t : data) all.emplace_back(t.id(), dist.Compute(t, q));
+  std::sort(all.begin(), all.end(),
+            [](const auto& a, const auto& b) { return KnnRankLess(a, b); });
+  return all;
+}
+
 /// kNN extension: exact against brute force for every distance function.
 class EngineKnnProperty : public ::testing::TestWithParam<DistanceType> {};
 
@@ -225,19 +236,47 @@ TEST_P(EngineKnnProperty, MatchesBruteForce) {
   auto dist = *MakeDistance(GetParam(), config.distance_params);
 
   for (const auto& q : ds.SampleQueries(5, 19)) {
+    const auto all = BruteForceRanking(ds.trajectories(), *dist, q);
     for (size_t k : {1u, 5u, 20u}) {
       auto got = engine.KnnSearch(q, k);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_EQ(got->size(), k);
-
-      std::vector<double> all;
-      for (const auto& t : ds.trajectories()) all.push_back(dist->Compute(t, q));
-      std::sort(all.begin(), all.end());
-      // Distances must match the true k smallest (ids may tie arbitrarily).
+      // Bit-identical distances and the (distance, id) tie order.
       for (size_t i = 0; i < k; ++i) {
-        EXPECT_NEAR((*got)[i].second, all[i], 1e-9)
+        EXPECT_EQ((*got)[i], all[i])
             << dist->name() << " k=" << k << " i=" << i;
       }
+    }
+  }
+}
+
+/// Duplicate trajectories under different ids make every distance tie at
+/// least three ways, and the copies are indexed in descending id order, so
+/// an order that breaks ties by input position would disagree with the id
+/// order. Every k — including ones that cut a tie group — must return the
+/// brute-force (distance, id) prefix.
+TEST_P(EngineKnnProperty, TiesRankByIdAcrossDuplicates) {
+  const Dataset base = CityDataset(60, 71);
+  std::vector<Trajectory> copies;
+  for (int c = 2; c >= 0; --c) {
+    for (size_t i = base.size(); i-- > 0;) {
+      copies.emplace_back(TrajectoryId(c * 1000 + TrajectoryId(i)),
+                          base[i].points());
+    }
+  }
+  DitaConfig config = SmallConfig(GetParam());
+  DitaEngine engine(MakeCluster(), config);
+  ASSERT_TRUE(engine.BuildIndex(Dataset(copies)).ok());
+  auto dist = *MakeDistance(GetParam(), config.distance_params);
+
+  for (const Trajectory* q : {&base[3], &base[17], &base[42]}) {
+    const auto all = BruteForceRanking(copies, *dist, *q);
+    for (size_t k : {1u, 2u, 3u, 4u, 8u, 13u}) {
+      auto got = engine.KnnSearch(*q, k);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<std::pair<TrajectoryId, double>> want(
+          all.begin(), all.begin() + long(k));
+      EXPECT_EQ(*got, want) << dist->name() << " k=" << k;
     }
   }
 }
@@ -251,6 +290,35 @@ INSTANTIATE_TEST_SUITE_P(AllDistances, EngineKnnProperty,
                          [](const auto& info) {
                            return DistanceTypeName(info.param);
                          });
+
+TEST(DitaEngineTest, KnnScoringIsAllocationFreeInSteadyState) {
+  // The default cluster runs stage tasks inline on the calling thread, so
+  // the kNN scoring loop uses this thread's DpScratch. After a warm-up pass
+  // has grown its lanes, repeated kNN queries (every expansion round, every
+  // bounded DP) must not grow them again.
+  auto cluster = MakeCluster();
+  DitaEngine engine(cluster, SmallConfig());
+  Dataset ds = CityDataset(300, 73);
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  const auto queries = ds.SampleQueries(6, 29);
+  size_t candidates = 0;
+  auto pass = [&] {
+    for (const auto& q : queries) {
+      for (size_t k : {1u, 10u}) {
+        QueryStats stats;
+        ASSERT_TRUE(engine.KnnSearch(q, k, 0.0, &stats).ok());
+        candidates += stats.candidates;
+      }
+    }
+  };
+  pass();
+  const uint64_t before = DpScratch::ThreadLocal().reallocations();
+  pass();
+  pass();
+  EXPECT_GT(candidates, 0u);
+  EXPECT_EQ(DpScratch::ThreadLocal().reallocations(), before)
+      << "kNN scoring grew the DP scratch after warm-up";
+}
 
 TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {
   // verify_threads fans the surviving DP work of each partition across an
@@ -311,17 +379,17 @@ TEST(DitaEngineTest, KnnJoinMatchesBruteForce) {
     prev_left = r.left;
     ++row;
   }
-  // Verify distances for a few left trajectories against brute force.
+  // Verify a few left trajectories' rows against brute force, bit for bit
+  // and in (distance, id) order.
   for (size_t i = 0; i < 5; ++i) {
     const Trajectory& q = ds_l[i];
-    std::vector<double> all;
-    for (const auto& t : ds_r.trajectories()) all.push_back(dist->Compute(t, q));
-    std::sort(all.begin(), all.end());
+    const auto all = BruteForceRanking(ds_r.trajectories(), *dist, q);
     size_t idx = 0;
     for (const auto& r : *got) {
       if (r.left != q.id()) continue;
       ASSERT_LT(idx, k);
-      EXPECT_NEAR(r.distance, all[idx], 1e-9) << "left=" << r.left;
+      EXPECT_EQ(r.right, all[idx].first) << "left=" << r.left;
+      EXPECT_EQ(r.distance, all[idx].second) << "left=" << r.left;
       ++idx;
     }
     EXPECT_EQ(idx, k);

@@ -621,6 +621,58 @@ TEST_F(DitaServiceTest, EmptyStartThenStreamingBuildUp) {
   EXPECT_EQ(knn_served->neighbors, *knn_oracle);
 }
 
+TEST_F(DitaServiceTest, KnnTiesRankByIdAcrossBaseAndDelta) {
+  // Each of the first 12 base trajectories gets two twins in the delta, one
+  // under a lower id and one under a higher id, so distances tie three ways
+  // across base and delta — including at the k-th live base distance that
+  // bounds the delta scan. The merged answer must be the brute-force
+  // (distance, id) prefix and equal a fresh engine's over the live set.
+  std::vector<Trajectory> base;
+  for (size_t i = 0; i < ds_.size(); ++i) {
+    base.push_back(WithId(ds_[i], TrajectoryId(1000 + i)));
+  }
+  DitaService service(cluster_, config_);
+  ASSERT_TRUE(service.Start(Dataset(base)).ok());
+  std::vector<Trajectory> live = base;
+  for (size_t i = 0; i < 12; ++i) {
+    for (const TrajectoryId id :
+         {TrajectoryId(500 + i), TrajectoryId(2000 + i)}) {
+      const Trajectory twin = WithId(ds_[i], id);
+      ASSERT_TRUE(service.Insert(twin).ok());
+      live.push_back(twin);
+    }
+  }
+  DitaEngine batch(cluster_, SmallConfig());
+  ASSERT_TRUE(batch.BuildIndex(Dataset(live)).ok());
+  auto dist = *MakeDistance(SmallConfig().distance,
+                            SmallConfig().distance_params);
+
+  for (const size_t qi : {size_t(2), size_t(7), size_t(40)}) {
+    const Trajectory& q = ds_[qi];
+    std::vector<std::pair<TrajectoryId, double>> all;
+    for (const Trajectory& t : live) {
+      all.emplace_back(t.id(), dist->Compute(t, q));
+    }
+    std::sort(all.begin(), all.end(),
+              [](const auto& a, const auto& b) { return KnnRankLess(a, b); });
+    for (const size_t k : {1u, 2u, 3u, 5u, 8u}) {
+      QueryRequest knn;
+      knn.kind = QueryKind::kKnnSearch;
+      knn.query = q;
+      knn.k = k;
+      auto served = service.Execute(knn);
+      ASSERT_TRUE(served.ok());
+      EXPECT_EQ(served->serving.delta_scanned, 24u);
+      const std::vector<std::pair<TrajectoryId, double>> want(
+          all.begin(), all.begin() + long(k));
+      EXPECT_EQ(served->neighbors, want) << "query " << qi << " k=" << k;
+      auto oracle = batch.KnnSearch(q, k);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ(served->neighbors, *oracle) << "query " << qi << " k=" << k;
+    }
+  }
+}
+
 TEST_F(DitaServiceTest, SubmitMatchesExecuteAndFailsAfterStop) {
   DitaService service(cluster_, config_);
   ASSERT_TRUE(service.Start(ds_).ok());
@@ -685,6 +737,9 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
     std::mt19937_64 rng(seed * 1000003);
     size_t next_pool = 0;
     size_t total_results = 0;
+    // Checkpoints whose kNN scanned more delta inserts than k, so the delta
+    // scan ran bounded by the k-th live base distance.
+    size_t knn_delta_over_k = 0;
     const auto live_vector = [&] {
       std::vector<Trajectory> v;
       v.reserve(live.size());
@@ -732,6 +787,7 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
         auto knn_oracle = batch.KnnSearch(q, 5);
         ASSERT_TRUE(knn_oracle.ok());
         EXPECT_EQ(knn_served->neighbors, *knn_oracle) << "knn at op " << op;
+        if (knn_served->serving.delta_scanned > knn.k) ++knn_delta_over_k;
 
         if (op % 24 == 23) {
           QueryRequest join;
@@ -749,6 +805,7 @@ TEST(ServingOracleTest, SeededInterleavingMatchesBatchEngine) {
     // The run crossed the merge threshold and produced real answers.
     EXPECT_GE(service.merges(), 1u);
     EXPECT_GT(total_results, 0u);
+    EXPECT_GT(knn_delta_over_k, 0u);
 
     // Final checkpoint after a forced merge: the folded state still agrees.
     ASSERT_TRUE(service.ForceMerge().ok());
