@@ -133,13 +133,6 @@ inline DitaConfig DefaultConfig() {
   config.build.trie.align_fanout = 8;
   config.build.trie.pivot_fanout = 4;
   config.build.trie.leaf_capacity = 4;
-  config.verify.cell_size = 0.005;
-  // bench_ablation_verification shows the quadratic cell bound never pays
-  // at these dataset sizes: the double-direction DP rejects negatives in
-  // O(rows-to-divergence) already. The engine default keeps the paper's
-  // full pipeline; the harness measures the configuration that is actually
-  // fastest here.
-  config.verify.enable_cell = false;
   return config;
 }
 

@@ -19,20 +19,13 @@ void RunPanels(const Args& args) {
   std::vector<std::string> cols;
   for (double tau : taus) cols.push_back(StrFormat("%.3f", tau));
 
-  // OSM parameters per the paper's Table 3 scaled down: K = 5, larger N_G,
-  // and a coarser verification cell size — long worldwide trajectories have
-  // many cells, and D must grow with trajectory extent for the cell filter
-  // to stay cheaper than the early-abandoning DP it guards.
+  // OSM parameters per the paper's Table 3 scaled down: K = 5, larger N_G.
   DitaConfig osm_config = DefaultConfig();
   osm_config.build.ng = 6;
   osm_config.build.trie.num_pivots = 5;
   osm_config.build.trie.align_fanout = 16;
   osm_config.build.trie.pivot_fanout = 8;
   osm_config.build.trie.leaf_capacity = 16;
-  osm_config.verify.cell_size = 0.02;
-  // Long worldwide trajectories have many cells; the quadratic cell bound
-  // costs more than the early-abandoning DP it would save here.
-  osm_config.verify.enable_cell = false;
 
   for (DistanceType distance : {DistanceType::kDTW, DistanceType::kFrechet}) {
     const char* dname = DistanceTypeName(distance);

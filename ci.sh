@@ -22,6 +22,7 @@
 #   ./ci.sh bench-smoke # quick-mode micro-filter + serving benches; emitted
 #                      # JSON is schema-checked and tolerance-diffed against
 #                      # the committed BENCH_*.json baselines
+#   ./ci.sh perfbench  # repository benchmark: 1 s traced serve_read smoke
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -81,6 +82,28 @@ obs_filter='Obs|Funnel|Logging|FlightRecorder|obs_demo_schema'
 # are race-checked.
 serving_filter='Serving|QueryScheduler|AdmissionGateCost|ExecuteAlias|DitaService|DataFrame|BatchExecute|AnswerCache|Sketch'
 
+# The perfbench pass builds the repository benchmark from its own
+# CMakeLists (the way perfbench/run.py does) and runs serve_read for 1 s with
+# per-layer tracing. It fails unless every answer was correct, no request
+# failed and the traced layer replay agreed with the engine on every query:
+# a guard on the library API the benchmark links against.
+perfbench_smoke() {
+  echo "=== perfbench smoke ==="
+  cmake -S perfbench -B build-perfbench
+  cmake --build build-perfbench --target perfbench -j "${jobs}"
+  ./build-perfbench/perfbench --workload serve_read --seed 1 --seconds 1 \
+      --trace 1 | tail -n 1 > build-perfbench/smoke.json
+  python3 - build-perfbench/smoke.json <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))
+mismatches = r["metrics"]["harness.replay_mismatches"]["value"]
+print(f"perfbench smoke: correct={r['correct']} failed={r['failed']} "
+      f"replay_mismatches={mismatches}")
+if r["correct"] is not True or r["failed"] != 0 or mismatches != 0:
+    sys.exit("perfbench smoke failed")
+PY
+}
+
 case "${mode}" in
   plain)    run_pass build ;;
   sanitize) run_pass build-asan -DDITA_SANITIZE=address ;;
@@ -122,14 +145,16 @@ case "${mode}" in
                 build/smoke_micro_filter.json --baseline BENCH_micro_filter.json
             python3 tools/check_bench_json.py serving \
                 build/smoke_serving.json --baseline BENCH_serving.json ;;
+  perfbench) perfbench_smoke ;;
   all)      run_pass build
             ./build/examples/obs_demo --selftest
             run_pass build-asan -DDITA_SANITIZE=address
             run_pass build-tsan "--filter=${tsan_filter}" \
                      -DDITA_SANITIZE=thread
             run_pass build-native "--filter=${native_filter}" \
-                     -DDITA_SANITIZE=address -DDITA_NATIVE=ON ;;
-  *) echo "usage: $0 [plain|sanitize|tsan|native|obs|chaos|serving|bench-smoke|all]" >&2; exit 2 ;;
+                     -DDITA_SANITIZE=address -DDITA_NATIVE=ON
+            perfbench_smoke ;;
+  *) echo "usage: $0 [plain|sanitize|tsan|native|obs|chaos|serving|bench-smoke|perfbench|all]" >&2; exit 2 ;;
 esac
 
 echo "ci: all passes green"

@@ -29,10 +29,9 @@ Status CentralizedDita::Build(const Dataset& data, const DitaConfig& config) {
   precomp_.resize(trie_.size());
   ThreadPool::ParallelFor(
       pool.get(), trie_.size(), /*min_parallel=*/64,
-      [this, &config](size_t lo, size_t hi) {
+      [this](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-          precomp_[i] = VerifyPrecomp::For(trie_.trajectories()[i],
-                                           config.verify.cell_size);
+          precomp_[i] = verifier_->Precompute(trie_.trajectories()[i]);
         }
       });
   build_seconds_ = timer.Seconds();
@@ -60,7 +59,7 @@ Result<std::vector<TrajectoryId>> CentralizedDita::Search(
   std::vector<uint32_t>& candidates = scratch.Candidates();
   candidates.clear();
   trie_.CollectCandidates(spec, &candidates);
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
+  const VerifyPrecomp qp = verifier_->Precompute(q);
 
   SearchStats local;
   local.candidates = candidates.size();

@@ -61,73 +61,49 @@ obs::MetricsRegistry* Cluster::EnableMetrics() {
   return metrics_.get();
 }
 
-Status Cluster::ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
-                             std::vector<TaskRun>* runs) {
+void Cluster::ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
+                           std::vector<TaskRun>* runs) {
   runs->resize(tasks->size());
-  const size_t threads =
-      config_.execution_threads == 0 ? 1 : config_.execution_threads;
   obs::Tracer* tracer = tracer_.get();
-  if (threads == 1) {
-    // Fast path: run inline, no pool overhead.
-    Status first_error;
-    for (size_t i = 0; i < tasks->size(); ++i) {
-      if (ctx != nullptr && ctx->stopped()) {
-        // The query stopped before this task started; skip the body. The
-        // accounting pass charges nothing for skipped tasks, so the stop
-        // point also bounds the query's virtual cost.
-        (*runs)[i].skipped = true;
-        continue;
-      }
-      // Nested spans opened by the task body (verification, candidate
-      // collection) land on the owning worker's lane.
-      obs::Tracer::ScopedLane lane(obs::WorkerLane((*tasks)[i].worker));
-      obs::SpanGuard span(tracer, "task");
-      span.Arg("task", i);
-      span.Arg("worker", (*tasks)[i].worker);
-      CpuTimer timer;
-      t_task_offloaded_seconds = 0.0;
-      try {
-        (*runs)[i].status = (*tasks)[i].fn();
-      } catch (const std::exception& e) {
-        if (first_error.ok()) {
-          first_error = Status::Internal(std::string("task threw: ") + e.what());
-        }
-      } catch (...) {
-        if (first_error.ok()) first_error = Status::Internal("task threw");
-      }
-      (*runs)[i].seconds = timer.Seconds() + t_task_offloaded_seconds;
+  auto run_one = [tasks, runs, tracer, ctx](size_t i) {
+    const Task& t = (*tasks)[i];
+    TaskRun& run = (*runs)[i];
+    if (ctx != nullptr && ctx->stopped()) {
+      // The query stopped before this task started; skip the body. The
+      // accounting pass charges nothing for skipped tasks, so the stop
+      // point also bounds the query's virtual cost.
+      run.skipped = true;
+      return;
     }
-    return first_error;
+    // Nested spans opened by the task body (verification, candidate
+    // collection) land on the owning worker's lane.
+    obs::Tracer::ScopedLane lane(obs::WorkerLane(t.worker));
+    obs::SpanGuard span(tracer, "task");
+    span.Arg("task", i);
+    span.Arg("worker", t.worker);
+    CpuTimer timer;
+    t_task_offloaded_seconds = 0.0;
+    // A throwing body becomes its run's status on the thread that ran it,
+    // so no exception object crosses threads.
+    try {
+      run.status = t.fn();
+    } catch (const std::exception& e) {
+      run.status = Status::Internal(std::string("task threw: ") + e.what());
+    } catch (...) {
+      run.status = Status::Internal("task threw");
+    }
+    run.seconds = timer.Seconds() + t_task_offloaded_seconds;
+  };
+  if (config_.execution_threads <= 1) {
+    // Fast path: run inline, no pool overhead.
+    for (size_t i = 0; i < tasks->size(); ++i) run_one(i);
+    return;
   }
-  ThreadPool pool(threads);
+  ThreadPool pool(config_.execution_threads);
   for (size_t i = 0; i < tasks->size(); ++i) {
-    Task* t = &(*tasks)[i];
-    TaskRun* run = &(*runs)[i];
-    pool.Submit([t, run, tracer, ctx, i] {
-      if (ctx != nullptr && ctx->stopped()) {
-        run->skipped = true;
-        return;
-      }
-      obs::Tracer::ScopedLane lane(obs::WorkerLane(t->worker));
-      obs::SpanGuard span(tracer, "task");
-      span.Arg("task", i);
-      span.Arg("worker", t->worker);
-      CpuTimer timer;
-      t_task_offloaded_seconds = 0.0;
-      run->status = t->fn();
-      run->seconds = timer.Seconds() + t_task_offloaded_seconds;
-    });
+    pool.Submit([&run_one, i] { run_one(i); });
   }
-  // A throwing task surfaces here (ThreadPool captures it) instead of
-  // terminating the worker thread.
-  try {
-    pool.Wait();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("task threw: ") + e.what());
-  } catch (...) {
-    return Status::Internal("task threw");
-  }
-  return Status::OK();
+  pool.Wait();
 }
 
 size_t Cluster::LeastLoadedLiveLocked(size_t exclude) const {
@@ -198,7 +174,7 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
   // identical* results (Spark lineage semantics), so re-running the closure
   // is unnecessary — and would duplicate its side effects.
   std::vector<TaskRun> runs;
-  const Status exec_status = ExecuteTasks(&tasks, options.ctx, &runs);
+  ExecuteTasks(&tasks, options.ctx, &runs);
 
   // Pass 2: deterministic virtual-time accounting, including fault
   // handling. Single-threaded under the lock; injection decisions depend
@@ -231,7 +207,7 @@ Status Cluster::RunStage(std::vector<Task> tasks, const StageOptions& options,
     }
   }
 
-  Status app_error = exec_status;
+  Status app_error;
   std::vector<size_t> owners(tasks.size());
   std::vector<double> runtimes(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {

@@ -281,10 +281,11 @@ class Cluster {
   };
 
   /// Runs every task function exactly once (inline or on the pool),
-  /// recording measured CPU seconds and returned status. Tasks coming up
-  /// after `ctx` (may be null) reads stopped are skipped.
-  Status ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
-                      std::vector<TaskRun>* runs);
+  /// recording measured CPU seconds and returned status; a task that throws
+  /// records Status::Internal("task threw: <what>"). Tasks coming up after
+  /// `ctx` (may be null) reads stopped are skipped.
+  void ExecuteTasks(std::vector<Task>* tasks, QueryContext* ctx,
+                    std::vector<TaskRun>* runs);
 
   /// Least-loaded live worker (ties broken by lowest id), excluding
   /// `exclude` (pass num_workers to exclude nobody). Returns num_workers if

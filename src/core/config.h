@@ -13,7 +13,8 @@ namespace dita {
 /// `build` governs index construction, `verify` the verification pipeline,
 /// and `serving` the long-lived query runtime (admission, scheduling,
 /// streaming ingest). Defaults follow the paper's defaults (Table 3) scaled
-/// to this repository's laptop-size datasets.
+/// to this repository's laptop-size datasets, except where measurement
+/// here disagrees (verify.enable_cell).
 struct DitaConfig {
   /// Index-construction knobs (§4).
   struct BuildOptions {
@@ -61,11 +62,15 @@ struct DitaConfig {
     /// DP.
     size_t parallel_min = 32;
 
-    /// Ablation toggles for the MBR (Lemma 5.4) and cell (Lemma 5.6)
-    /// verification filters (defaults on; the ablation bench turns some
-    /// off).
+    /// Toggles for the MBR (Lemma 5.4) and cell (Lemma 5.6) verification
+    /// filters. The MBR test is on. The cell bound departs from the paper
+    /// and is off: it costs O(cells_T * cells_Q) per pair, while the
+    /// windowed threshold DP usually rejects a pair within a few rows, so
+    /// the tier costs more time than it saves (DESIGN.md §5d). With it off
+    /// no cell summaries are built. bench_ablation_verification turns it
+    /// on to reproduce the paper's ablation.
     bool enable_mbr = true;
-    bool enable_cell = true;
+    bool enable_cell = false;
 
     /// Level-0 sketch prefilter (DESIGN.md §5g): per-trajectory grid-cell
     /// bitset signatures, tested (a) per partition aggregate in front of

@@ -381,9 +381,8 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
                build_pool_.get(), partition.trie.size(), /*min_parallel=*/64,
                [this, &partition](size_t lo, size_t hi) {
                  for (size_t i = lo; i < hi; ++i) {
-                   partition.precomp[i] = VerifyPrecomp::For(
-                       partition.trie.trajectories()[i],
-                       config_.verify.cell_size, &sig_grid_);
+                   partition.precomp[i] = verifier_->Precompute(
+                       partition.trie.trajectories()[i], &sig_grid_);
                  }
                });
            // Aggregate sketch over the members (OR of bits, component-wise
@@ -414,6 +413,8 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
     index_stats_.local_index_bytes += p.trie.ByteSize();
     for (const VerifyPrecomp& vp : p.precomp) {
       index_stats_.local_index_bytes += vp.ByteSize();
+      index_stats_.cell_bytes +=
+          vp.cells.cells.size() * sizeof(CellSummary::Cell);
     }
     // Signatures are inline (fixed-width) — one per trajectory plus the
     // partition aggregate.
@@ -543,7 +544,7 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
                                           erp_gap);
     probe_span.Arg("relevant", relevant.size());
   }
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
+  const VerifyPrecomp qp = verifier_->Precompute(q);
 
   // Level-0 sketch tier (DESIGN.md §5g): dilate the query's signature by
   // tau once, then drop relevant partitions whose aggregate bits miss the
@@ -778,7 +779,7 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
                                              distance_->prune_mode(),
                                              distance_->matching_epsilon(),
                                              erp_gap);
-    qps.push_back(VerifyPrecomp::For(req.query, config_.verify.cell_size));
+    qps.push_back(verifier_->Precompute(req.query));
   }
 
   // Level-0 sketch tier, per member (see SearchImpl). The dilated
@@ -969,7 +970,7 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
   const Cluster::CostSnapshot snap = cluster_->Snapshot();
   obs::SpanGuard knn_span(tracer_, "knn.query");
   knn_span.Arg("k", k);
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
+  const VerifyPrecomp qp = verifier_->Precompute(q);
 
   // Seed the expansion with a data-derived radius: the spread of the query
   // itself is a reasonable unit of distance for its neighbourhood.

@@ -33,6 +33,9 @@ struct IndexStats {
   /// Bytes held by the level-0 sketch tier (per-trajectory signatures plus
   /// per-partition aggregates; DESIGN.md §5g).
   size_t sketch_bytes = 0;
+  /// Bytes of Lemma 5.6 cell summaries, included in local_index_bytes; 0
+  /// unless verify.enable_cell.
+  size_t cell_bytes = 0;
 };
 
 /// Per-query observability (Figs. 7-8, 17).

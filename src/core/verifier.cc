@@ -42,7 +42,11 @@ bool Verifier::PassesFilters(const VerifyPrecomp& tp, const VerifyPrecomp& qp,
     }
   }
 
-  if (geometric && cell_enabled_) {
+  // Lemma 5.6 needs both cell sets: over an empty one the bound reads +inf
+  // and would reject a true match, so a precomp built without cells (or an
+  // empty trajectory) skips the tier.
+  if (geometric && cell_enabled_ && !tp.cells.cells.empty() &&
+      !qp.cells.cells.empty()) {
     const bool is_max = mode == PruneMode::kMax;
     const double lb_tq = is_max ? CellLowerBoundFrechet(tp.cells, qp.cells, tau)
                                 : CellLowerBoundDtw(tp.cells, qp.cells, tau);

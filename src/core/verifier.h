@@ -21,9 +21,13 @@ namespace dita {
 /// run its cheap filters without touching the raw points (§5.3.3:
 /// "Computing MBRs and cells is pre-processed during creating the index").
 /// The SoA copy of the coordinates feeds the DP kernels directly, keeping
-/// their inner loops on contiguous lanes.
+/// their inner loops on contiguous lanes. Engines build theirs through
+/// Verifier::Precompute, which leaves `cells` empty unless the cell tier is
+/// on.
 struct VerifyPrecomp {
   MBR mbr;
+  /// Lemma 5.6 cell summary; empty when built without cells (the verifier
+  /// then skips the cell bound for any pair involving this precomp).
   CellSummary cells;
   SoaTrajectory soa;
   /// Level-0 sketch (DESIGN.md §5g): grid-cell bitset + minhash shingles in
@@ -31,10 +35,19 @@ struct VerifyPrecomp {
   /// was built without a grid; the sketch filter then never engages.
   TrajSignature sig;
 
+  /// Every summary, the cell set included.
   static VerifyPrecomp For(const Trajectory& t, double cell_size,
                            const SigGrid* grid = nullptr) {
-    VerifyPrecomp p{t.ComputeMBR(), CompressToCells(t, cell_size),
-                    SoaTrajectory(t), TrajSignature{}};
+    VerifyPrecomp p = WithoutCells(t, grid);
+    p.cells = CompressToCells(t, cell_size);
+    return p;
+  }
+
+  /// MBR, SoA lanes and (with a valid grid) the sketch; no cell summary.
+  static VerifyPrecomp WithoutCells(const Trajectory& t,
+                                    const SigGrid* grid = nullptr) {
+    VerifyPrecomp p{t.ComputeMBR(), CellSummary{}, SoaTrajectory(t),
+                    TrajSignature{}};
     if (grid != nullptr && grid->valid()) p.sig = BuildSignature(t, *grid);
     return p;
   }
@@ -74,7 +87,9 @@ struct VerifyStats {
 
 /// The verification pipeline of §5.3.3, ordered cheapest first:
 ///  (1) MBR coverage filtering via extended MBRs (Lemma 5.4);
-///  (2) cell-compression lower bound (Lemma 5.6);
+///  (2) cell-compression lower bound (Lemma 5.6) — off by default: it is
+///      O(cells_T * cells_Q) per pair, while the windowed threshold DP
+///      usually rejects a pair within a few rows;
 ///  (3) threshold-aware dynamic program on SoA kernels.
 /// Steps (1)-(2) only apply to distances whose semantics support them (DTW,
 /// Frechet — every point must align within tau); edit distances go straight
@@ -130,9 +145,19 @@ class Verifier {
 
   Verifier(std::shared_ptr<TrajectoryDistance> distance, const DitaConfig& config)
       : distance_(std::move(distance)),
+        cell_size_(config.verify.cell_size),
         mbr_enabled_(config.verify.enable_mbr),
         cell_enabled_(config.verify.enable_cell),
         sketch_enabled_(config.verify.enable_sketch) {}
+
+  /// The precomp this verifier's filters read: the cell summary (an
+  /// O(|t| * cells) scan) is built only when the cell tier is enabled.
+  /// `grid` as in VerifyPrecomp::For.
+  VerifyPrecomp Precompute(const Trajectory& t,
+                           const SigGrid* grid = nullptr) const {
+    return cell_enabled_ ? VerifyPrecomp::For(t, cell_size_, grid)
+                         : VerifyPrecomp::WithoutCells(t, grid);
+  }
 
   /// Returns true iff distance(t, q) <= tau. Never rejects a true answer.
   /// `dilated` (optional) enables the level-0 sketch test against tp.sig.
@@ -182,6 +207,7 @@ class Verifier {
                      const SigBits* dilated) const;
 
   std::shared_ptr<TrajectoryDistance> distance_;
+  double cell_size_;
   bool mbr_enabled_;
   bool cell_enabled_;
   bool sketch_enabled_;

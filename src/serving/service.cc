@@ -1033,7 +1033,7 @@ std::vector<Result<QueryResult>> DitaService::ExecuteBatchInternal(
   qps.reserve(n);
   std::vector<VerifyStats> dstats(n);
   for (const size_t i : members) {
-    qps.push_back(VerifyPrecomp::For(reqs[i].query, config_.verify.cell_size));
+    qps.push_back(verifier_->Precompute(reqs[i].query));
   }
   // Level-0 sketch over the delta (DESIGN.md §5g): the stored insert
   // signatures are in the base's frame, so each member's dilated query set
@@ -1051,7 +1051,7 @@ std::vector<Result<QueryResult>> DitaService::ExecuteBatchInternal(
   }
   for (size_t d = 0; d < snap->inserts.size(); ++d) {
     const Trajectory& t = snap->inserts[d];
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
+    VerifyPrecomp tp = verifier_->Precompute(t);
     if (sketch) tp.sig = snap->insert_sigs[d];
     for (size_t m = 0; m < n; ++m) {
       if (!live[m]) continue;
@@ -1145,7 +1145,7 @@ Status DitaService::SearchIdsInto(const TableSnapshot& snap,
   // predicate the indexed path ends in (sound filters + thresholded DP).
   // The level-0 sketch test reuses the signatures Insert quantized in the
   // base's frame against the query's dilated set in that same frame.
-  const VerifyPrecomp qp = VerifyPrecomp::For(q, config_.verify.cell_size);
+  const VerifyPrecomp qp = verifier_->Precompute(q);
   const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
                       !snap.inserts.empty();
   SigBits dilated;
@@ -1154,7 +1154,7 @@ Status DitaService::SearchIdsInto(const TableSnapshot& snap,
   for (size_t d = 0; d < snap.inserts.size(); ++d) {
     const Trajectory& t = snap.inserts[d];
     ++acct->delta_scanned;
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
+    VerifyPrecomp tp = verifier_->Precompute(t);
     if (sketch) tp.sig = snap.insert_sigs[d];
     if (verifier_->Verify(t, tp, q, qp, tau, &dstats,
                           sketch ? &dilated : nullptr)) {
@@ -1204,8 +1204,7 @@ Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
     }
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
-  const VerifyPrecomp qp =
-      VerifyPrecomp::For(req.query, config_.verify.cell_size);
+  const VerifyPrecomp qp = verifier_->Precompute(req.query);
   const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
                       !snap.inserts.empty();
   SigBits dilated;
@@ -1214,7 +1213,7 @@ Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
   for (size_t d = 0; d < snap.inserts.size(); ++d) {
     const Trajectory& t = snap.inserts[d];
     ++res.serving.delta_scanned;
-    VerifyPrecomp tp = VerifyPrecomp::For(t, config_.verify.cell_size);
+    VerifyPrecomp tp = verifier_->Precompute(t);
     if (sketch) tp.sig = snap.insert_sigs[d];
     if (verifier_->Verify(t, tp, req.query, qp, req.tau, &dstats,
                           sketch ? &dilated : nullptr)) {

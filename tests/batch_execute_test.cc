@@ -41,6 +41,8 @@ DitaConfig SmallConfig(DistanceType type = DistanceType::kDTW) {
   config.distance_params.epsilon = 0.01;
   config.distance_params.delta = 4;
   config.verify.cell_size = 0.02;
+  // On, so the pruned_by_cell parity below compares real counts.
+  config.verify.enable_cell = true;
   return config;
 }
 
@@ -248,6 +250,96 @@ TEST(BatchExecuteTest, SubmitCoalescesQueuedSearches) {
   EXPECT_GT(service.coalesced_batches(), 0u);
   EXPECT_GT(service.coalesced_queries(), service.coalesced_batches());
 }
+
+/// The cell tier is sound, so switching it changes only the funnel
+/// counters: engine search, kNN and join, and service search, batch and
+/// kNN over a live delta, answer identically with it on and off.
+class CellTierProperty : public ::testing::TestWithParam<DistanceType> {};
+
+TEST_P(CellTierProperty, AnswersMatchWithTierOnAndOff) {
+  Dataset ds = CityDataset(240);
+  Dataset extra = CityDataset(20, 99);
+  std::vector<QueryRequest> searches;
+  for (size_t i = 0; i < 12; ++i) {
+    searches.push_back(
+        SearchReq(ds[(i * 37) % ds.size()], 0.03 * (1 + i % 3)));
+  }
+  auto knn = [](const Trajectory& q) {
+    QueryRequest req;
+    req.kind = QueryKind::kKnnSearch;
+    req.query = q;
+    req.k = 5;
+    return req;
+  };
+
+  struct Answers {
+    std::vector<std::vector<TrajectoryId>> ids;
+    std::vector<std::vector<std::pair<TrajectoryId, double>>> neighbors;
+    std::vector<std::pair<TrajectoryId, TrajectoryId>> join;
+    size_t pruned_by_cell = 0;
+  };
+  auto run = [&](bool cell) {
+    Answers out;
+    auto record = [&out](const Result<QueryResult>& r) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      out.ids.push_back(r->ids);
+      out.neighbors.push_back(r->neighbors);
+      out.pruned_by_cell += r->search_stats.verify.pruned_by_cell;
+    };
+    DitaConfig config = ServingConfig();
+    config.distance = GetParam();
+    config.verify.enable_cell = cell;
+
+    auto cluster = MakeCluster();
+    DitaEngine engine(cluster, config);
+    EXPECT_TRUE(engine.BuildIndex(ds).ok());
+    for (const QueryRequest& req : searches) record(engine.Execute(req));
+    for (size_t i = 0; i < 4; ++i) record(engine.Execute(knn(ds[i * 11])));
+    auto join = engine.Join(engine, 0.03);
+    EXPECT_TRUE(join.ok());
+    if (join.ok()) out.join = *join;
+
+    DitaService service(cluster, config);
+    EXPECT_TRUE(service.Start(ds).ok());
+    for (size_t i = 0; i < extra.size(); ++i) {
+      Trajectory t(50000 + static_cast<TrajectoryId>(i), extra[i].points());
+      EXPECT_TRUE(service.Insert(t).ok());
+    }
+    for (size_t i = 0; i < 10; ++i) {
+      EXPECT_TRUE(service.Delete(ds[i * 7].id()).ok());
+    }
+    for (size_t i = 0; i < searches.size(); ++i) {
+      QueryRequest fresh = searches[i];  // a query that matches the delta
+      fresh.query = extra[i];
+      record(service.Execute(searches[i]));
+      record(service.Execute(fresh));
+    }
+    for (const Result<QueryResult>& r : service.ExecuteBatch(searches)) {
+      record(r);
+    }
+    for (size_t i = 0; i < 4; ++i) {
+      record(service.Execute(knn(ds[i * 13])));
+      record(service.Execute(knn(extra[i])));
+    }
+    return out;
+  };
+
+  const Answers on = run(true);
+  const Answers off = run(false);
+  EXPECT_GT(on.pruned_by_cell, 0u);  // the tier really filtered
+  EXPECT_EQ(off.pruned_by_cell, 0u);
+  EXPECT_EQ(on.ids, off.ids);
+  EXPECT_EQ(on.neighbors, off.neighbors);
+  EXPECT_EQ(on.join, off.join);
+  EXPECT_FALSE(off.join.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometric, CellTierProperty,
+                         ::testing::Values(DistanceType::kDTW,
+                                           DistanceType::kFrechet),
+                         [](const auto& info) {
+                           return std::string(DistanceTypeName(info.param));
+                         });
 
 }  // namespace
 }  // namespace dita

@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +257,46 @@ TEST(ClusterFaultTest, ThrowingTaskSurfacesAsInternal) {
     ok_tasks.push_back({0, [] { return Status::OK(); }});
     EXPECT_TRUE(cluster.RunStage(std::move(ok_tasks)).ok());
   }
+}
+
+TEST(ClusterFaultTest, SerialAndPooledStagesReportTheSameStatus) {
+  // Returned errors, thrown exceptions and thrown non-exceptions, mixed in
+  // several orders: both execution paths report the first failing task's
+  // status (in task order), message included.
+  const std::vector<std::function<Status()>> bodies = {
+      [] { return Status::OK(); },
+      [] { return Status::NotFound("missing"); },
+      []() -> Status { throw std::runtime_error("boom"); },
+      []() -> Status { throw 7; },
+  };
+  const std::vector<std::vector<size_t>> stages = {
+      {0, 2}, {2, 1}, {1, 2}, {0, 3, 2}, {3, 0}, {0, 0}};
+  for (const std::vector<size_t>& order : stages) {
+    std::vector<Status> got;
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      ClusterConfig cfg;
+      cfg.num_workers = 2;
+      cfg.execution_threads = threads;
+      Cluster cluster(cfg);
+      std::vector<Cluster::Task> tasks;
+      for (size_t i = 0; i < order.size(); ++i) {
+        tasks.push_back({i % 2, bodies[order[i]]});
+      }
+      got.push_back(cluster.RunStage(std::move(tasks)));
+    }
+    EXPECT_EQ(got[0].code(), got[1].code());
+    EXPECT_EQ(got[0].ToString(), got[1].ToString());
+  }
+  ClusterConfig cfg;
+  cfg.num_workers = 1;
+  cfg.execution_threads = 4;
+  Cluster cluster(cfg);
+  std::vector<Cluster::Task> tasks;
+  tasks.push_back({0, bodies[2]});
+  const Status s = cluster.RunStage(std::move(tasks));
+  EXPECT_EQ(s.code(), Status::Code::kInternal);
+  EXPECT_NE(s.ToString().find("task threw: boom"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(ClusterFaultTest, TransientFailuresRetryAndChargeBackoff) {

@@ -101,6 +101,25 @@ TEST(DitaEngineTest, IndexStatsPopulated) {
   EXPECT_GT(stats.build_seconds, 0.0);
 }
 
+TEST(DitaEngineTest, DefaultConfigBuildsNoCellSummaries) {
+  // The shipped funnel has no cell tier, so BuildIndex builds no Lemma 5.6
+  // summaries; turning the tier on adds exactly their bytes.
+  Dataset ds = CityDataset(300);
+  DitaEngine shipped(MakeCluster(), DitaConfig{});
+  ASSERT_TRUE(shipped.BuildIndex(ds).ok());
+  DitaConfig with_cells;
+  with_cells.verify.enable_cell = true;
+  DitaEngine cells(MakeCluster(), with_cells);
+  ASSERT_TRUE(cells.BuildIndex(ds).ok());
+
+  const IndexStats& off = shipped.index_stats();
+  const IndexStats& on = cells.index_stats();
+  EXPECT_EQ(off.cell_bytes, 0u);
+  EXPECT_GT(on.cell_bytes, 0u);
+  EXPECT_LT(off.local_index_bytes, on.local_index_bytes);
+  EXPECT_EQ(on.local_index_bytes - off.local_index_bytes, on.cell_bytes);
+}
+
 TEST(DitaEngineTest, ParallelBuildMatchesSerialBuild) {
   // build_threads only changes how construction work is chunked; the index,
   // the simulated cost ledger, and every query answer must be unchanged.

@@ -9,7 +9,7 @@ namespace dita {
 namespace {
 
 std::unique_ptr<Verifier> MakeVerifier(DistanceType type, bool mbr = true,
-                                       bool cell = true) {
+                                       bool cell = false) {
   DitaConfig config;
   config.verify.enable_mbr = mbr;
   config.verify.enable_cell = cell;
@@ -55,7 +55,7 @@ TEST(VerifierTest, CellFilterFiresOnOverlappingButDissimilar) {
   // Same endpoints and same MBR footprint, but the mass travels along the
   // bottom edge vs the left edge: MBR coverage passes, the cell bound
   // prunes (Example 5.7's mechanism).
-  auto verifier = MakeVerifier(DistanceType::kDTW);
+  auto verifier = MakeVerifier(DistanceType::kDTW, /*mbr=*/true, /*cell=*/true);
   Trajectory a(0, {{0, 0}, {2, 0}, {4, 0}, {6, 0}, {8, 0}, {10, 0}, {10, 10}});
   Trajectory b(1, {{0, 0}, {0, 2}, {0, 4}, {0, 6}, {0, 8}, {0, 10}, {10, 10}});
   auto pa = VerifyPrecomp::For(a, 0.2);
@@ -64,6 +64,57 @@ TEST(VerifierTest, CellFilterFiresOnOverlappingButDissimilar) {
   EXPECT_FALSE(verifier->Verify(a, pa, b, pb, 3.0, &stats));
   EXPECT_EQ(stats.pruned_by_mbr, 0u);
   EXPECT_GE(stats.pruned_by_cell, 1u);
+}
+
+TEST(VerifierTest, PrecomputeBuildsCellsOnlyWhenTheTierIsOn) {
+  EXPECT_FALSE(DitaConfig{}.verify.enable_cell);
+  Trajectory t(0, {{0, 0}, {0.5, 0}, {0.5, 0.5}, {2, 2}});
+  const VerifyPrecomp ref = VerifyPrecomp::For(t, DitaConfig{}.verify.cell_size);
+  ASSERT_FALSE(ref.cells.cells.empty());
+  const VerifyPrecomp off = MakeVerifier(DistanceType::kDTW)->Precompute(t);
+  EXPECT_TRUE(off.cells.cells.empty());
+  EXPECT_LT(off.ByteSize(), ref.ByteSize());
+  const VerifyPrecomp on =
+      MakeVerifier(DistanceType::kDTW, /*mbr=*/true, /*cell=*/true)
+          ->Precompute(t);
+  EXPECT_EQ(on.cells.cells.size(), ref.cells.cells.size());
+  EXPECT_EQ(on.ByteSize(), ref.ByteSize());
+  for (const VerifyPrecomp* p : {&off, &on}) {
+    EXPECT_EQ(p->mbr, ref.mbr);
+    EXPECT_EQ(p->soa.size(), t.size());
+  }
+}
+
+/// Lemma 5.6 over an empty cell set reads +inf. A cell-enabled verifier
+/// handed a precomp built without cells (by a cell-off verifier, e.g. the
+/// other engine of a join) must skip the bound, not reject true matches.
+TEST(VerifierTest, CellTierIsSoundOnPrecompsWithoutCells) {
+  for (DistanceType type : {DistanceType::kDTW, DistanceType::kFrechet}) {
+    auto verifier = MakeVerifier(type, /*mbr=*/true, /*cell=*/true);
+    auto cell_off = MakeVerifier(type);
+    auto dist = *MakeDistance(type, DistanceParams{});
+    Rng rng(71 + static_cast<uint64_t>(type));
+    size_t matches = 0;
+    for (int iter = 0; iter < 100; ++iter) {
+      const Trajectory a = RandomTrajectory(rng);
+      const Trajectory b = RandomTrajectory(rng);
+      const double d = dist->Compute(a, b);
+      // Bit 0: a without cells; bit 1: b without cells.
+      for (int mask = 1; mask < 4; ++mask) {
+        const VerifyPrecomp pa = (mask & 1) ? cell_off->Precompute(a)
+                                            : VerifyPrecomp::For(a, 0.4);
+        const VerifyPrecomp pb = (mask & 2) ? cell_off->Precompute(b)
+                                            : VerifyPrecomp::For(b, 0.4);
+        for (double factor : {0.5, 1.0, 2.0}) {
+          const double tau = d * factor;
+          EXPECT_EQ(verifier->Verify(a, pa, b, pb, tau, nullptr), d <= tau)
+              << dist->name() << " mask=" << mask << " iter=" << iter;
+          matches += d <= tau ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(matches, 0u);
+  }
 }
 
 /// Soundness sweep: with and without the optional filters, Verify agrees
@@ -136,7 +187,7 @@ TEST(VerifyBatchTest, MatchesPairwiseVerify) {
   for (DistanceType type :
        {DistanceType::kDTW, DistanceType::kFrechet, DistanceType::kEDR,
         DistanceType::kLCSS, DistanceType::kERP}) {
-    auto verifier = MakeVerifier(type);
+    auto verifier = MakeVerifier(type, /*mbr=*/true, /*cell=*/true);
     BatchFixture f = BatchFixture::Make(60, 7 + uint64_t(type));
 
     VerifyStats pair_stats;
