@@ -49,7 +49,10 @@ run_pass() {
 # oracle/threshold/verifier/engine tests all compare against untuned code or
 # naive reference DPs compiled without -march=native, and the kNN/bounded
 # tests pin the bounded DP's returned distances (not just its verdicts).
-native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|Knn|Bounded'
+# Every threshold search runs the batched body, so the batch-vs-single
+# oracles (the AVX2 batch_scan.h kernels, the candidate-major VerifyMulti
+# sweep) run here too.
+native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|Knn|Bounded|BatchFilter|BatchExecute'
 
 # The TSan pass covers every code path that shares memory across pool
 # threads: the pool itself, parallel index construction and tiling sorts

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <mutex>
+#include <cmath>
 #include <thread>
-#include <unordered_map>
 
 #include "core/join_planner.h"
 #include "distance/dp_scratch.h"
@@ -144,6 +142,10 @@ Status DitaEngine::AdmitQuery(QueryKind kind, QueryContext* ctx, uint64_t cost,
   return s;
 }
 
+uint64_t DitaEngine::GateCost(const QueryRequest& req) const {
+  return gate_ != nullptr ? EstimateQueryCost(req) : 0;
+}
+
 uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
   if (req.cost_hint > 0) return req.cost_hint;
   if (!indexed_) return 1;
@@ -180,43 +182,76 @@ uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
   return 1;
 }
 
+namespace {
+
+bool AllFinite(const Trajectory& t) {
+  for (const Point& p : t.points()) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Status DitaEngine::ValidateTrajectory(const Trajectory& t) {
+  if (t.size() < 2) {
+    return Status::InvalidArgument(
+        "DITA requires trajectories with at least 2 points");
+  }
+  if (!AllFinite(t)) {
+    return Status::InvalidArgument("trajectory coordinates must be finite");
+  }
+  return Status::OK();
+}
+
+Status DitaEngine::ValidateRequest(const QueryRequest& req) {
+  if (req.kind != QueryKind::kJoin) {
+    if (req.query.size() < 2) {
+      return Status::InvalidArgument("query needs at least 2 points");
+    }
+    if (!AllFinite(req.query)) {
+      return Status::InvalidArgument("query coordinates must be finite");
+    }
+  }
+  if (req.kind == QueryKind::kKnnSearch) {
+    if (!std::isfinite(req.initial_tau)) {
+      return Status::InvalidArgument("initial_tau must be finite");
+    }
+    return Status::OK();
+  }
+  if (!std::isfinite(req.tau)) {
+    return Status::InvalidArgument("threshold must be finite");
+  }
+  if (req.tau < 0) {
+    return Status::InvalidArgument("threshold must be non-negative");
+  }
+  return Status::OK();
+}
+
 Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
   QueryResult res;
   res.kind = req.kind;
   QueryStats* qstats = req.collect_stats ? &res.search_stats : nullptr;
   switch (req.kind) {
     case QueryKind::kSearch: {
+      // A single search is a batch of one.
       if (!indexed_) return Status::Internal("Search before BuildIndex");
-      if (req.query.size() < 2) {
-        return Status::InvalidArgument("query needs at least 2 points");
-      }
-      if (req.tau < 0) {
-        return Status::InvalidArgument("threshold must be non-negative");
-      }
-      AdmissionGate::Ticket ticket;
-      double admission_wait = 0.0;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket,
-                                      &admission_wait));
-      auto r = SearchImpl(req.query, req.tau, qstats, req.ctx);
-      DITA_RETURN_IF_ERROR(r.status());
-      if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
-      res.ids = std::move(*r);
-      return res;
+      DITA_RETURN_IF_ERROR(ValidateRequest(req));
+      Result<QueryResult> out = std::move(res);
+      const size_t only = 0;
+      SearchBatchImpl({&req, 1}, {&only, 1}, &out);
+      return out;
     }
     case QueryKind::kKnnSearch: {
       if (!indexed_) return Status::Internal("KnnSearch before BuildIndex");
-      if (req.query.size() < 2) {
-        return Status::InvalidArgument("query needs at least 2 points");
-      }
+      DITA_RETURN_IF_ERROR(ValidateRequest(req));
       if (req.k == 0) return res;
       if (req.k > index_stats_.num_trajectories) {
         return Status::InvalidArgument("k exceeds the table cardinality");
       }
       AdmissionGate::Ticket ticket;
       double admission_wait = 0.0;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket,
+      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx, GateCost(req), &ticket,
                                       &admission_wait));
       auto r =
           KnnSearchImpl(req.query, req.k, req.initial_tau, qstats, req.ctx);
@@ -238,12 +273,10 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
       if (cluster_.get() != right.cluster_.get()) {
         return Status::InvalidArgument("joined tables must share a cluster");
       }
-      if (req.tau < 0) {
-        return Status::InvalidArgument("threshold must be non-negative");
-      }
+      DITA_RETURN_IF_ERROR(ValidateRequest(req));
       AdmissionGate::Ticket ticket;
-      DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx,
-                                      EstimateQueryCost(req), &ticket));
+      DITA_RETURN_IF_ERROR(
+          AdmitQuery(req.kind, req.ctx, GateCost(req), &ticket));
       auto r = JoinImpl(right, req.tau,
                         req.collect_stats ? &res.join_stats : nullptr, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());
@@ -313,10 +346,7 @@ Status DitaEngine::BuildIndex(const Dataset& data) {
     return Status::InvalidArgument("trie leaf capacity must be at least 1");
   }
   for (const Trajectory& t : data.trajectories()) {
-    if (t.size() < 2) {
-      return Status::InvalidArgument(
-          "DITA requires trajectories with at least 2 points");
-    }
+    DITA_RETURN_IF_ERROR(ValidateTrajectory(t));
   }
   WallTimer build_timer;
   obs::SpanGuard build_span(tracer_, "index.build");
@@ -488,51 +518,9 @@ bool DitaEngine::TrajectoryRelevantTo(const Trajectory& t,
   return true;
 }
 
-size_t DitaEngine::LocalSearch(const Partition& p, const Trajectory& q,
-                               const VerifyPrecomp& qp, double tau,
-                               std::vector<TrajectoryId>* results,
-                               VerifyStats* vstats,
-                               TrieIndex::ProbeStats* pstats,
-                               QueryContext* ctx,
-                               const SigBits* dilated) const {
-  TrieIndex::SearchSpec spec = MakeSpec(q, tau);
-  spec.ctx = ctx;
-  DpScratch& scratch = DpScratch::ThreadLocal();
-  std::vector<uint32_t>& candidates = scratch.Candidates();
-  candidates.clear();
-  {
-    obs::SpanGuard collect_span(tracer_, "trie.collect");
-    p.trie.CollectCandidates(spec, &candidates, pstats);
-    collect_span.Arg("candidates", candidates.size());
-  }
-  std::vector<uint32_t>& accepted = scratch.Accepted();
-  accepted.clear();
-  const size_t dp_before = vstats != nullptr ? vstats->dp_computed : 0;
-  const Verifier::Batch batch{&p.precomp, &candidates, &qp, tau, dilated, ctx};
-  const Verifier::BatchResult r = verifier_->VerifyBatch(
-      batch, verify_pool_.get(), config_.verify.parallel_min, &accepted,
-      vstats, tracer_);
-  if (vstats != nullptr) {
-    h_batch_survivors_.Observe(
-        static_cast<double>(vstats->dp_computed - dp_before));
-  }
-  // DP chunks ran on pool threads; charge their CPU to this cluster task so
-  // the virtual-time ledger matches a serial verification.
-  if (r.offloaded_seconds > 0.0) Cluster::ChargeCurrentTask(r.offloaded_seconds);
-  for (const uint32_t pos : accepted) {
-    results->push_back(p.trie.trajectory(pos).id());
-  }
-  return candidates.size();
-}
-
-Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
-    const Trajectory& q, double tau, QueryStats* stats,
-    QueryContext* ctx) const {
-  const Cluster::CostSnapshot snap = cluster_->Snapshot();
-  obs::SpanGuard query_span(tracer_, "query");
-
-  // Driver: probe the global index for relevant partitions.
-  CpuTimer driver_timer;
+std::vector<uint32_t> DitaEngine::ProbePartitions(
+    const Trajectory& q, double tau, const SigBits* dilated,
+    uint64_t* sketch_pruned_population) const {
   const Point* erp_gap = config_.distance == DistanceType::kERP
                              ? &config_.distance_params.erp_gap
                              : nullptr;
@@ -544,97 +532,28 @@ Result<std::vector<TrajectoryId>> DitaEngine::SearchImpl(
                                           erp_gap);
     probe_span.Arg("relevant", relevant.size());
   }
-  const VerifyPrecomp qp = verifier_->Precompute(q);
-
-  // Level-0 sketch tier (DESIGN.md §5g): dilate the query's signature by
-  // tau once, then drop relevant partitions whose aggregate bits miss the
-  // dilated set — no member of such a partition can pass the per-candidate
-  // subset test, let alone match. Pruned partitions were proven empty of
-  // answers, so they count as fully searched for completeness.
-  const bool sketch = SketchActive();
-  SigBits dilated;
-  uint64_t sketch_pruned_population = 0;
-  if (sketch) {
-    dilated = DilatedQuerySig(q, tau);
-    size_t pruned_parts = 0;
-    std::vector<uint32_t> probed;
-    probed.reserve(relevant.size());
-    for (const uint32_t pid : relevant) {
-      const Partition& part = partitions_[pid];
-      if (!part.sketch_agg.bits.Empty() &&
-          !part.sketch_agg.bits.Intersects(dilated)) {
-        sketch_pruned_population += part.trie.size();
-        ++pruned_parts;
-      } else {
-        probed.push_back(pid);
-      }
+  if (dilated == nullptr) return relevant;
+  // Level-0 sketch tier (DESIGN.md §5g): a partition whose aggregate bits
+  // miss the query's tau-dilated set holds no member that can pass the
+  // per-candidate subset test, let alone match.
+  const size_t pruned = std::erase_if(relevant, [&](uint32_t pid) {
+    const Partition& part = partitions_[pid];
+    if (part.sketch_agg.bits.Empty() ||
+        part.sketch_agg.bits.Intersects(*dilated)) {
+      return false;
     }
-    relevant.swap(probed);
-    if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
-  }
-  cluster_->RecordDriverCompute(driver_timer.Seconds());
-
-  // Probe-stat collection feeds the funnel (per caller request) and the
-  // filter.trie.* metrics; when neither consumer exists the trie traversal
-  // keeps its stats-free hot path.
-  const bool want_probe_stats = stats != nullptr || metrics_ != nullptr;
-  const size_t trie_levels = config_.build.trie.num_pivots + 2;
-
-  // Workers: local filter + verify per relevant partition.
-  std::vector<SearchLocalOut> outs(relevant.size());
-  std::vector<Cluster::Task> tasks;
-  tasks.reserve(relevant.size());
-  for (size_t idx = 0; idx < relevant.size(); ++idx) {
-    const Partition* part = &partitions_[relevant[idx]];
-    SearchLocalOut* out = &outs[idx];
-    tasks.push_back({part->home_worker,
-                     [&, part, out] {
-                       if (want_probe_stats) out->pstats.Reset(trie_levels);
-                       out->candidates = LocalSearch(
-                           *part, q, qp, tau, &out->ids, &out->vstats,
-                           want_probe_stats ? &out->pstats : nullptr, ctx,
-                           sketch ? &dilated : nullptr);
-                       // Complete iff the stop (if any) had not fired by the
-                       // time this task finished; conservative under real
-                       // concurrency, exact under serial execution.
-                       out->complete = ctx == nullptr || !ctx->stopped();
-                       return Status::OK();
-                     },
-                     part->data_bytes});
-  }
-  std::vector<uint8_t> kept;
-  const Status stage =
-      cluster_->RunStage(std::move(tasks), StageOpts("search", ctx), &kept);
-  if (ctx != nullptr) ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
-  const bool degraded = !stage.ok() && ShouldDegrade(ctx, stage);
-  if (!stage.ok() && !degraded) return stage;
-  if (degraded) {
-    m_query_degraded_.Increment();
-    if (tracer_ != nullptr) tracer_->Instant("query.degraded");
-  }
-
-  // Merge the surviving tasks' slots. A complete query merges everything
-  // (kept is all-ones and every slot is complete), so this is the same
-  // result as the pre-slot merge.
-  std::vector<const SearchLocalOut*> slots(relevant.size(), nullptr);
-  for (size_t idx = 0; idx < relevant.size(); ++idx) {
-    if ((kept.empty() || kept[idx]) && outs[idx].complete) {
-      slots[idx] = &outs[idx];
+    if (sketch_pruned_population != nullptr) {
+      *sketch_pruned_population += part.trie.size();
     }
-  }
-  size_t total_candidates = 0;
-  std::vector<TrajectoryId> results =
-      MergeSearch(relevant, slots, stats, ctx, snap, &total_candidates,
-                  sketch_pruned_population);
-  query_span.Arg("partitions_probed", relevant.size());
-  query_span.Arg("candidates", total_candidates);
-  query_span.Arg("results", results.size());
-  return results;
+    return true;
+  });
+  if (pruned > 0) m_sketch_partitions_pruned_.Add(pruned);
+  return relevant;
 }
 
 std::vector<TrajectoryId> DitaEngine::MergeSearch(
-    const std::vector<uint32_t>& relevant,
-    const std::vector<const SearchLocalOut*>& slots, QueryStats* stats,
+    std::span<const uint32_t> relevant,
+    std::span<const SearchLocalOut* const> slots, QueryStats* stats,
     QueryContext* ctx, const Cluster::CostSnapshot& snap,
     size_t* total_candidates_out, uint64_t sketch_pruned_population) const {
   const bool want_probe_stats = stats != nullptr || metrics_ != nullptr;
@@ -715,253 +634,240 @@ std::vector<TrajectoryId> DitaEngine::MergeSearch(
 
 std::vector<Result<QueryResult>> DitaEngine::ExecuteBatch(
     std::span<const QueryRequest> reqs) const {
+  // Valid threshold searches run together through the one search body;
+  // joins and kNN take their standalone paths, and an invalid search gets
+  // its validation error.
   std::vector<Result<QueryResult>> out;
   out.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(Result<QueryResult>(Status::Internal("batch slot not filled")));
-  }
-  // Only valid threshold searches batch; everything else — joins, kNN, and
-  // searches that would fail validation — takes the standalone path so its
-  // behavior (including its error) is exactly Execute's.
-  std::vector<size_t> batched;
+  std::vector<size_t> members;
   for (size_t i = 0; i < reqs.size(); ++i) {
     const QueryRequest& req = reqs[i];
-    const bool batchable = req.kind == QueryKind::kSearch && indexed_ &&
-                           req.query.size() >= 2 && req.tau >= 0;
-    if (batchable) {
-      batched.push_back(i);
-    } else {
-      out[i] = Execute(req);
+    if (req.kind != QueryKind::kSearch) {
+      out.push_back(Execute(req));
+      continue;
     }
+    const Status valid = indexed_
+                             ? ValidateRequest(req)
+                             : Status::Internal("Search before BuildIndex");
+    out.push_back(valid.ok() ? Status::Internal("batch slot not filled")
+                             : valid);
+    if (valid.ok()) members.push_back(i);
   }
-  if (batched.empty()) return out;
-  if (batched.size() == 1) {
-    out[batched[0]] = Execute(reqs[batched[0]]);
-    return out;
-  }
-  // One admission ticket covers the whole batch at the members' summed
-  // cost, so the gate's inflight-cost budget sees the same load as the
-  // standalone calls would have presented.
-  uint64_t cost = 0;
-  for (const size_t i : batched) cost += EstimateQueryCost(reqs[i]);
-  AdmissionGate::Ticket ticket;
-  const Status admitted =
-      AdmitQuery(QueryKind::kSearch, nullptr, cost, &ticket);
-  if (!admitted.ok()) {
-    for (const size_t i : batched) out[i] = admitted;
-    return out;
-  }
-  SearchBatchImpl(reqs, batched, &out);
+  if (!members.empty()) SearchBatchImpl(reqs, members, out.data());
   return out;
 }
 
 void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
-                                 const std::vector<size_t>& members,
-                                 std::vector<Result<QueryResult>>* results) const {
-  const Cluster::CostSnapshot snap = cluster_->Snapshot();
-  obs::SpanGuard batch_span(tracer_, "query.batch");
-  batch_span.Arg("queries", members.size());
+                                 std::span<const size_t> members,
+                                 Result<QueryResult>* results) const {
   const size_t n = members.size();
-  const size_t trie_levels = config_.build.trie.num_pivots + 2;
-  const Point* erp_gap = config_.distance == DistanceType::kERP
-                             ? &config_.distance_params.erp_gap
-                             : nullptr;
-
-  // Driver: per member, relevant partitions + verification precomp (the
-  // same work the standalone path performs, once per member).
-  CpuTimer driver_timer;
-  std::vector<std::vector<uint32_t>> relevant(n);
-  std::vector<VerifyPrecomp> qps;
-  qps.reserve(n);
-  for (size_t m = 0; m < n; ++m) {
-    const QueryRequest& req = reqs[members[m]];
-    relevant[m] = global_.RelevantPartitions(req.query, req.tau,
-                                             distance_->prune_mode(),
-                                             distance_->matching_epsilon(),
-                                             erp_gap);
-    qps.push_back(verifier_->Precompute(req.query));
+  // One admission ticket covers the whole batch at the members' summed
+  // cost, so the gate's inflight-cost budget sees the same load as
+  // standalone calls would. A lone search queues under its own context.
+  uint64_t cost = 0;
+  for (const size_t i : members) cost += GateCost(reqs[i]);
+  AdmissionGate::Ticket ticket;
+  double admission_wait = 0.0;
+  const Status admitted =
+      AdmitQuery(QueryKind::kSearch, n == 1 ? reqs[members[0]].ctx : nullptr,
+                 cost, &ticket, &admission_wait);
+  if (!admitted.ok()) {
+    for (const size_t i : members) results[i] = admitted;
+    return;
   }
+  const Cluster::CostSnapshot snap = cluster_->Snapshot();
+  // A lone search keeps the standalone shape: its own "query" span, and a
+  // "search" stage carrying its context, so a stop cancels the stage and
+  // the query degrades exactly as it always has. A batch's stage carries
+  // no member context: one member's stop must not abort the shared
+  // traversal for the rest (the traversal drops the stopped member from
+  // its alive sets instead).
+  QueryContext* const stage_ctx = n == 1 ? reqs[members[0]].ctx : nullptr;
+  obs::SpanGuard query_span(tracer_, n == 1 ? "query" : "query.batch");
+  const size_t trie_levels = config_.build.trie.num_pivots + 2;
 
-  // Level-0 sketch tier, per member (see SearchImpl). The dilated
-  // signatures live in the driver thread's grow-once scratch arena — the
-  // traversal tasks only read them — so a steady batch stream allocates
-  // nothing here.
+  // Driver: per member, the partitions worth probing and the verification
+  // precomp. The dilated sketches live in the driver thread's grow-once
+  // scratch arena — the tasks only read them.
+  CpuTimer driver_timer;
+  struct Member {
+    std::vector<uint32_t> relevant;  // ascending partition ids
+    VerifyPrecomp qp;
+    uint64_t sketch_pruned = 0;      // population of sketch-pruned partitions
+    size_t first_slot = 0;           // offset of this member's merge slots
+    bool dropped = false;            // some slot did not run to completion
+  };
+  std::vector<Member> ms(n);
   const bool sketch = SketchActive();
   std::vector<SigBits>& dsigs = TrieIndex::Scratch::ThreadLocal().DilatedSigs();
-  std::vector<uint64_t> sketch_pruned_pop(n, 0);
-  if (sketch) {
-    if (dsigs.size() < n) dsigs.resize(n);
-    size_t pruned_parts = 0;
-    for (size_t m = 0; m < n; ++m) {
-      const QueryRequest& req = reqs[members[m]];
-      dsigs[m] = DilatedQuerySig(req.query, req.tau);
-      std::vector<uint32_t> probed;
-      probed.reserve(relevant[m].size());
-      for (const uint32_t pid : relevant[m]) {
-        const Partition& part = partitions_[pid];
-        if (!part.sketch_agg.bits.Empty() &&
-            !part.sketch_agg.bits.Intersects(dsigs[m])) {
-          sketch_pruned_pop[m] += part.trie.size();
-          ++pruned_parts;
-        } else {
-          probed.push_back(pid);
-        }
-      }
-      relevant[m].swap(probed);
-    }
-    if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
+  if (sketch && dsigs.size() < n) dsigs.resize(n);
+  size_t num_slots = 0;
+  for (size_t m = 0; m < n; ++m) {
+    const QueryRequest& req = reqs[members[m]];
+    if (sketch) dsigs[m] = DilatedQuerySig(req.query, req.tau);
+    ms[m].relevant = ProbePartitions(req.query, req.tau,
+                                     sketch ? &dsigs[m] : nullptr,
+                                     &ms[m].sketch_pruned);
+    ms[m].qp = verifier_->Precompute(req.query);
+    ms[m].first_slot = num_slots;
+    num_slots += ms[m].relevant.size();
   }
   cluster_->RecordDriverCompute(driver_timer.Seconds());
 
-  // Group members by relevant partition: each involved partition is probed
-  // by ONE task running the shared trie traversal and the multi-query
-  // verify pass for its member subset — this is where the batch saves work
-  // over n standalone stages. Slots stay per (partition, member), so each
-  // member's merge/degradation logic is untouched.
-  struct PartWork {
-    uint32_t pid = 0;
-    std::vector<uint32_t> members;     // ordinals into `members`, ascending
-    std::vector<SearchLocalOut> outs;  // parallel to members
+  // Group the (partition, member) probes by partition with one sorted key
+  // array, pid << 32 | member: each run of equal pids is ONE task running
+  // the shared trie traversal and the multi-query verify pass over its
+  // members. This is where a batch saves work over standalone stages. Slot
+  // k (outputs, traversal and verify members) belongs to keys[k].
+  std::vector<uint64_t> keys;
+  keys.reserve(num_slots);
+  for (size_t m = 0; m < n; ++m) {
+    for (const uint32_t pid : ms[m].relevant) {
+      keys.push_back((uint64_t{pid} << 32) | m);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  const auto pid_of = [&keys](size_t k) {
+    return static_cast<uint32_t>(keys[k] >> 32);
   };
-  std::map<uint32_t, std::vector<uint32_t>> by_part;
-  for (size_t m = 0; m < n; ++m) {
-    for (const uint32_t pid : relevant[m]) {
-      by_part[pid].push_back(static_cast<uint32_t>(m));
-    }
-  }
-  std::vector<PartWork> work;
-  work.reserve(by_part.size());
-  std::unordered_map<uint32_t, uint32_t> work_of;
-  for (auto& [pid, ms] : by_part) {
-    work_of[pid] = static_cast<uint32_t>(work.size());
-    PartWork pw;
-    pw.pid = pid;
-    pw.members = std::move(ms);
-    pw.outs.resize(pw.members.size());
-    work.push_back(std::move(pw));
-  }
-  // slot_of[m][idx] locates member m's slot for relevant[m][idx].
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> slot_of(n);
-  for (size_t m = 0; m < n; ++m) {
-    slot_of[m].reserve(relevant[m].size());
-    for (const uint32_t pid : relevant[m]) {
-      const uint32_t w = work_of[pid];
-      const auto& wm = work[w].members;
-      const uint32_t j = static_cast<uint32_t>(
-          std::lower_bound(wm.begin(), wm.end(), static_cast<uint32_t>(m)) -
-          wm.begin());
-      slot_of[m].push_back({w, j});
-    }
-  }
-
+  const auto member_of = [&keys](size_t k) {
+    return static_cast<uint32_t>(keys[k]);
+  };
+  std::vector<SearchLocalOut> outs(num_slots);
+  std::vector<TrieIndex::BatchQuery> bqs(num_slots);
+  std::vector<Verifier::MultiQuery> mqs(num_slots);
   std::vector<Cluster::Task> tasks;
-  tasks.reserve(work.size());
-  for (PartWork& pw : work) {
-    const Partition* part = &partitions_[pw.pid];
-    PartWork* w = &pw;
+  for (size_t lo = 0; lo < num_slots;) {
+    size_t hi = lo + 1;
+    while (hi < num_slots && pid_of(hi) == pid_of(lo)) ++hi;
+    const Partition* part = &partitions_[pid_of(lo)];
     tasks.push_back(
         {part->home_worker,
-         [this, part, w, reqs, &members, &qps, trie_levels, sketch, &dsigs] {
-           const size_t cnt = w->members.size();
-           std::vector<std::vector<uint32_t>> cand(cnt);
-           std::vector<std::vector<uint32_t>> acc(cnt);
-           std::vector<TrieIndex::BatchQuery> bq(cnt);
+         [&, part, lo, hi] {
+           const size_t cnt = hi - lo;
+           DpScratch& scratch = DpScratch::ThreadLocal();
+           std::vector<uint32_t>* cand = scratch.CandidateLists(cnt);
+           std::vector<uint32_t>* acc = scratch.AcceptedLists(cnt);
            for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             SearchLocalOut* slot = &w->outs[j];
-             TrieIndex::SearchSpec spec = MakeSpec(req.query, req.tau);
-             spec.ctx = req.ctx;
-             bq[j].spec = spec;
-             bq[j].out = &cand[j];
+             const size_t k = lo + j;
+             const QueryRequest& req = reqs[members[member_of(k)]];
+             cand[j].clear();
+             acc[j].clear();
+             bqs[k].spec = MakeSpec(req.query, req.tau);
+             bqs[k].spec.ctx = req.ctx;
+             bqs[k].out = &cand[j];
              if (req.collect_stats || metrics_ != nullptr) {
-               slot->pstats.Reset(trie_levels);
-               bq[j].stats = &slot->pstats;
+               outs[k].pstats.Reset(trie_levels);
+               bqs[k].stats = &outs[k].pstats;
              }
            }
            {
              obs::SpanGuard collect_span(tracer_, "trie.collect");
-             part->trie.CollectCandidatesBatch(bq.data(), cnt);
+             part->trie.CollectCandidatesBatch(&bqs[lo], cnt);
              size_t total = 0;
-             for (const auto& c : cand) total += c.size();
-             collect_span.Arg("queries", cnt);
+             for (size_t j = 0; j < cnt; ++j) total += cand[j].size();
+             if (cnt > 1) collect_span.Arg("queries", cnt);
              collect_span.Arg("candidates", total);
            }
-           std::vector<Verifier::MultiQuery> mq(cnt);
            for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             mq[j] = Verifier::MultiQuery{
-                 &cand[j], &qps[w->members[j]], req.tau,
-                 sketch ? &dsigs[w->members[j]] : nullptr,
-                 req.ctx,  &acc[j],             &w->outs[j].vstats};
+             const size_t k = lo + j;
+             const uint32_t m = member_of(k);
+             const QueryRequest& req = reqs[members[m]];
+             mqs[k] = Verifier::MultiQuery{
+                 &cand[j], &ms[m].qp, req.tau, sketch ? &dsigs[m] : nullptr,
+                 req.ctx,  &acc[j],   &outs[k].vstats};
            }
            const Verifier::BatchResult r = verifier_->VerifyMulti(
-               part->precomp, mq.data(), cnt, verify_pool_.get(),
+               part->precomp, &mqs[lo], cnt, verify_pool_.get(),
                config_.verify.parallel_min, tracer_);
+           // DP chunks ran on pool threads; charge their CPU to this cluster
+           // task so the virtual-time ledger matches a serial verification.
            if (r.offloaded_seconds > 0.0) {
              Cluster::ChargeCurrentTask(r.offloaded_seconds);
            }
            for (size_t j = 0; j < cnt; ++j) {
-             const QueryRequest& req = reqs[members[w->members[j]]];
-             SearchLocalOut* slot = &w->outs[j];
-             slot->candidates = cand[j].size();
+             const size_t k = lo + j;
+             const QueryRequest& req = reqs[members[member_of(k)]];
+             SearchLocalOut& slot = outs[k];
+             slot.candidates = cand[j].size();
              for (const uint32_t pos : acc[j]) {
-               slot->ids.push_back(part->trie.trajectory(pos).id());
+               slot.ids.push_back(part->trie.trajectory(pos).id());
              }
              h_batch_survivors_.Observe(
-                 static_cast<double>(slot->vstats.dp_computed));
-             slot->complete = req.ctx == nullptr || !req.ctx->stopped();
+                 static_cast<double>(slot.vstats.dp_computed));
+             // Complete iff the member's stop (if any) had not fired by the
+             // time this task finished; conservative under real
+             // concurrency, exact under serial execution.
+             slot.complete = req.ctx == nullptr || !req.ctx->stopped();
            }
            return Status::OK();
          },
          part->data_bytes});
+    lo = hi;
   }
 
-  // The stage itself carries no member context: one member's stop must not
-  // abort the shared traversal for the rest (the traversal drops the
-  // stopped member from its alive sets instead). Infrastructure failures
-  // still fail the stage — and with it every member, exactly as each
-  // standalone call would have failed.
+  // Infrastructure failures fail the stage — and with it every member,
+  // exactly as each standalone call would have failed. A lone search's
+  // own stop degrades instead.
   std::vector<uint8_t> kept;
-  const Status stage =
-      cluster_->RunStage(std::move(tasks), StageOpts("search.batch"), &kept);
+  const Status stage = cluster_->RunStage(
+      std::move(tasks), StageOpts(n == 1 ? "search" : "search.batch", stage_ctx),
+      &kept);
   for (size_t m = 0; m < n; ++m) {
     QueryContext* const ctx = reqs[members[m]].ctx;
     if (ctx != nullptr) {
       ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
     }
   }
-  if (!stage.ok()) {
-    for (size_t m = 0; m < n; ++m) (*results)[members[m]] = stage;
+  const bool stage_degraded = !stage.ok() && ShouldDegrade(stage_ctx, stage);
+  if (!stage.ok() && !stage_degraded) {
+    for (const size_t i : members) results[i] = stage;
     return;
   }
 
-  size_t batch_results = 0;
+  // Each member merges its slots that ran to completion, in its relevant
+  // (ascending pid) order — the order its keys appear in the sorted array.
+  // A complete query merges everything, so a member cut short returns a
+  // well-defined subset.
+  std::vector<const SearchLocalOut*> slots(num_slots, nullptr);
+  {
+    size_t task = 0;
+    for (size_t k = 0; k < num_slots; ++k) {
+      if (k > 0 && pid_of(k) != pid_of(k - 1)) ++task;
+      Member& mb = ms[member_of(k)];
+      const bool merged = (kept.empty() || kept[task]) && outs[k].complete;
+      slots[mb.first_slot++] = merged ? &outs[k] : nullptr;
+      mb.dropped = mb.dropped || !merged;
+    }
+  }
+  size_t total_candidates = 0;
+  size_t total_results = 0;
   for (size_t m = 0; m < n; ++m) {
     const QueryRequest& req = reqs[members[m]];
-    std::vector<const SearchLocalOut*> slots(relevant[m].size(), nullptr);
-    bool dropped = false;
-    for (size_t idx = 0; idx < relevant[m].size(); ++idx) {
-      const auto [w, j] = slot_of[m][idx];
-      if ((!kept.empty() && !kept[w]) || !work[w].outs[j].complete) {
-        dropped = true;
-        continue;
-      }
-      slots[idx] = &work[w].outs[j];
-    }
-    if (dropped) {
+    if (stage_degraded || ms[m].dropped) {
       m_query_degraded_.Increment();
       if (tracer_ != nullptr) tracer_->Instant("query.degraded");
     }
+    const size_t count = ms[m].relevant.size();
+    const size_t first = ms[m].first_slot - count;
     QueryResult res;
     res.kind = QueryKind::kSearch;
     QueryStats* qstats = req.collect_stats ? &res.search_stats : nullptr;
-    size_t total_candidates = 0;
-    res.ids = MergeSearch(relevant[m], slots, qstats, req.ctx, snap,
-                          &total_candidates, sketch_pruned_pop[m]);
-    batch_results += res.ids.size();
-    (*results)[members[m]] = std::move(res);
+    size_t candidates = 0;
+    res.ids = MergeSearch(ms[m].relevant,
+                          std::span<const SearchLocalOut* const>(
+                              slots.data() + first, count),
+                          qstats, req.ctx, snap, &candidates,
+                          ms[m].sketch_pruned);
+    if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
+    total_candidates += candidates;
+    total_results += res.ids.size();
+    results[members[m]] = std::move(res);
   }
-  batch_span.Arg("results", batch_results);
+  if (n > 1) query_span.Arg("queries", n);
+  query_span.Arg("partitions_probed", num_slots);
+  query_span.Arg("candidates", total_candidates);
+  query_span.Arg("results", total_results);
 }
 
 Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
@@ -1003,34 +909,15 @@ Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
   const bool sketch = SketchActive();
   for (int round = 0; round < 64; ++round) {
     scored.clear();
-    const Point* erp_gap = config_.distance == DistanceType::kERP
-                               ? &config_.distance_params.erp_gap
-                               : nullptr;
-    CpuTimer driver_timer;
-    std::vector<uint32_t> relevant = global_.RelevantPartitions(
-        q, tau, distance_->prune_mode(), distance_->matching_epsilon(), erp_gap);
     // Sketch tier, re-dilated each round (the dilation radius is the
-    // round's tau). Partition prune as in SearchImpl; per candidate the
-    // subset test skips the exact-distance computation — a skipped
-    // candidate provably has distance > tau, so it cannot enter `scored`.
+    // round's tau). Per candidate the subset test skips the exact-distance
+    // computation — a skipped candidate provably has distance > tau, so it
+    // cannot enter `scored`.
+    CpuTimer driver_timer;
     SigBits dilated;
-    if (sketch) {
-      dilated = DilatedQuerySig(q, tau);
-      size_t pruned_parts = 0;
-      std::vector<uint32_t> kept_parts;
-      kept_parts.reserve(relevant.size());
-      for (const uint32_t pid : relevant) {
-        const Partition& part = partitions_[pid];
-        if (!part.sketch_agg.bits.Empty() &&
-            !part.sketch_agg.bits.Intersects(dilated)) {
-          ++pruned_parts;
-        } else {
-          kept_parts.push_back(pid);
-        }
-      }
-      relevant.swap(kept_parts);
-      if (pruned_parts > 0) m_sketch_partitions_pruned_.Add(pruned_parts);
-    }
+    if (sketch) dilated = DilatedQuerySig(q, tau);
+    const std::vector<uint32_t> relevant =
+        ProbePartitions(q, tau, sketch ? &dilated : nullptr, nullptr);
     cluster_->RecordDriverCompute(driver_timer.Seconds());
 
     struct RoundOut {

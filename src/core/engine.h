@@ -220,19 +220,21 @@ class DitaEngine {
   const Cluster& cluster() const { return *cluster_; }
 
   /// The single query entry point: validates, admits (cost-aware when the
-  /// gate has a cost budget), and dispatches on `req.kind`. All public
-  /// query methods below are exact aliases over this.
+  /// gate has a cost budget), and dispatches on `req.kind`. A threshold
+  /// search runs the one search body of ExecuteBatch on a one-member span.
+  /// All public query methods below are
+  /// exact aliases over this.
   Result<QueryResult> Execute(const QueryRequest& req) const;
 
-  /// Executes a group of requests, running compatible threshold searches as
-  /// one batched pass through the filter pipeline (DESIGN.md §5f): each
-  /// relevant partition is probed once per batch with
+  /// Executes a group of requests, running the valid threshold searches as
+  /// one pass through the filter pipeline (DESIGN.md §5f): each relevant
+  /// partition is probed once per batch with
   /// TrieIndex::CollectCandidatesBatch + Verifier::VerifyMulti instead of
   /// once per query. Results are positional (results[i] answers reqs[i])
   /// and per query bit-identical to Execute — including funnel, verify, and
   /// trie counters; only makespan-style timings reflect the shared stage.
-  /// Non-search requests (and searches that fail validation) fall back to
-  /// individual Execute calls. The batch is admitted as one ticket whose
+  /// Joins and kNN run through Execute; a search that fails validation
+  /// gets Execute's error. The searches are admitted as one ticket whose
   /// cost is the members' summed estimate. A member whose QueryContext
   /// stops mid-batch degrades alone, exactly as it would standalone; the
   /// other members' answers are unaffected.
@@ -338,30 +340,27 @@ class DitaEngine {
   /// `relevant`; null entries were dropped or incomplete), folds the
   /// aggregated counters into the metrics registry, fills `stats`
   /// (termination, completeness, filter funnel) when requested, and returns
-  /// the sorted result ids. Shared verbatim by the single-query and batched
-  /// search paths so their per-query accounting cannot drift apart.
-  /// `sketch_pruned_population` is the trajectory count of the relevant
-  /// partitions the level-0 sketch pruned before probing; those partitions
-  /// were proven empty of matches, so they count as merged for completeness
-  /// and the funnel's "sketch partitions" level subtracts them.
+  /// the sorted result ids. `sketch_pruned_population` is the trajectory
+  /// count of the relevant partitions the level-0 sketch pruned before
+  /// probing; those partitions were proven empty of matches, so they count
+  /// as merged for completeness and the funnel's "sketch partitions" level
+  /// subtracts them.
   std::vector<TrajectoryId> MergeSearch(
-      const std::vector<uint32_t>& relevant,
-      const std::vector<const SearchLocalOut*>& slots, QueryStats* stats,
+      std::span<const uint32_t> relevant,
+      std::span<const SearchLocalOut* const> slots, QueryStats* stats,
       QueryContext* ctx, const Cluster::CostSnapshot& snap,
       size_t* total_candidates_out,
       uint64_t sketch_pruned_population = 0) const;
 
-  /// The un-gated query bodies; Execute admits once, then dispatches here.
-  Result<std::vector<TrajectoryId>> SearchImpl(const Trajectory& q, double tau,
-                                               QueryStats* stats,
-                                               QueryContext* ctx) const;
-
-  /// The batched search body: `members` indexes the kSearch requests of
-  /// `reqs` that passed validation; answers land in the matching positions
-  /// of `out`.
+  /// The one threshold-search body (DESIGN.md §5f), for one query or many:
+  /// `members` indexes the validated kSearch requests of `reqs`, admitted
+  /// here as one ticket; answers (or the shed status) land in the matching
+  /// positions of `results`. Each relevant partition is probed by one task
+  /// that runs TrieIndex::CollectCandidatesBatch + Verifier::VerifyMulti
+  /// over the members probing it.
   void SearchBatchImpl(std::span<const QueryRequest> reqs,
-                       const std::vector<size_t>& members,
-                       std::vector<Result<QueryResult>>* out) const;
+                       std::span<const size_t> members,
+                       Result<QueryResult>* results) const;
   Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinImpl(
       const DitaEngine& right, double tau, JoinStats* stats,
       QueryContext* ctx) const;
@@ -393,22 +392,35 @@ class DitaEngine {
                     AdmissionGate::Ticket* ticket,
                     double* waited_seconds = nullptr) const;
 
+  /// EstimateQueryCost(req) when the gate is enabled, else 0: the estimate
+  /// is a global-index probe, wasted without a gate to read it.
+  uint64_t GateCost(const QueryRequest& req) const;
+
+  /// The one request-validation point, shared by the engine and
+  /// DitaService: a search or kNN query needs at least 2 points, all
+  /// finite; tau (search, join) must be finite and non-negative, and
+  /// initial_tau (kNN) finite. Table-state checks (indexed, k versus the
+  /// cardinality) stay with the callers.
+  static Status ValidateRequest(const QueryRequest& req);
+
+  /// Rejects a trajectory DITA cannot index: fewer than 2 points, or a
+  /// non-finite coordinate (BuildIndex and DitaService::Insert).
+  static Status ValidateTrajectory(const Trajectory& t);
+
   /// Per-trajectory global relevance test against a partition summary —
   /// the "has candidates in Qj" check of §6.2's trans estimation.
   bool TrajectoryRelevantTo(const Trajectory& t,
                             const GlobalIndex::PartitionSummary& s,
                             double tau) const;
 
-  /// Local filter+verify of `q` against partition `p`; appends matching
-  /// trajectory ids. Returns the number of candidates that reached
-  /// verification. `pstats` (optional) tallies the trie traversal for the
-  /// filter funnel.
-  size_t LocalSearch(const Partition& p, const Trajectory& q,
-                     const VerifyPrecomp& qp, double tau,
-                     std::vector<TrajectoryId>* results, VerifyStats* vstats,
-                     TrieIndex::ProbeStats* pstats = nullptr,
-                     QueryContext* ctx = nullptr,
-                     const SigBits* dilated = nullptr) const;
+  /// The partitions of the global index a query at radius `tau` must
+  /// probe, minus those the level-0 sketch proves empty of answers when
+  /// `dilated` (the query's tau-dilated signature) is non-null; the pruned
+  /// partitions' population is added to `*sketch_pruned_population` when
+  /// that is non-null. Ascending partition ids.
+  std::vector<uint32_t> ProbePartitions(const Trajectory& q, double tau,
+                                        const SigBits* dilated,
+                                        uint64_t* sketch_pruned_population) const;
 
   /// True when the level-0 sketch tier applies to this engine's queries:
   /// the toggle is on, the grid was built, and the metric is geometric

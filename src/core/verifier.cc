@@ -1,12 +1,9 @@
 #include "core/verifier.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
+#include <atomic>
 
 #include "distance/dp_scratch.h"
-#include "util/timer.h"
 
 namespace dita {
 
@@ -86,145 +83,9 @@ Verifier::BatchResult Verifier::VerifyBatch(const Batch& batch,
                                             std::vector<uint32_t>* accepted,
                                             VerifyStats* stats,
                                             obs::Tracer* tracer) const {
-  obs::SpanGuard span(tracer, "verify");
-  BatchResult out;
-  const std::vector<VerifyPrecomp>& precomp = *batch.precomp;
-  const std::vector<uint32_t>& candidates = *batch.candidates;
-  const VerifyPrecomp& qp = *batch.query;
-  const double tau = batch.tau;
-  QueryContext* const ctx = batch.ctx;
-  const size_t before = accepted->size();
-  DpScratch& scratch = DpScratch::ThreadLocal();
-  if (ctx != nullptr && ctx->stopped()) return out;
-
-  if (stats != nullptr) stats->pairs += candidates.size();
-
-  // Pass 1: cheap geometric filters only — a tight scan over the precomp
-  // array that never touches DP state or raw coordinates. Checkpointed in
-  // blocks: candidate filter tests are the unit of work charged here.
-  std::vector<uint32_t>& survivors = scratch.Survivors();
-  survivors.clear();
-  constexpr size_t kFilterStride = 256;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (ctx != nullptr && (i % kFilterStride) == 0 && i != 0 &&
-        ctx->CheckPoint(kFilterStride)) {
-      return out;
-    }
-    const uint32_t pos = candidates[i];
-    if (PassesFilters(precomp[pos], qp, tau, stats, batch.dilated)) {
-      survivors.push_back(pos);
-    }
-  }
-  uint64_t batch_dp_cells = 0;
-  for (const uint32_t pos : survivors) {
-    batch_dp_cells +=
-        static_cast<uint64_t>(precomp[pos].soa.size()) * qp.soa.size();
-  }
-  if (stats != nullptr) {
-    stats->dp_computed += survivors.size();
-    stats->dp_cells += batch_dp_cells;
-  }
-  // The whole batch's DP work is charged up front: exceeding max_dp_cells
-  // skips the DP entirely instead of discovering the overrun halfway in.
-  if (ctx != nullptr && ctx->ChargeDpCells(batch_dp_cells)) return out;
-  if (ctx != nullptr && ctx->CheckScratchBytes(scratch.ByteSize())) return out;
-
-  // Pass 2: thresholded DP on the survivors. The context rides along in the
-  // scratch so the kernels' row-block polls see it; restored on every exit.
-  struct ScratchCtxGuard {
-    DpScratch* s;
-    ~ScratchCtxGuard() { s->SetQueryContext(nullptr); }
-  };
-  const TrajView qv = qp.soa.view();
-  const size_t count = survivors.size();
-  const size_t min_par = std::max<size_t>(min_parallel, 2);
-  if (pool == nullptr || pool->num_threads() < 2 || count < min_par) {
-    scratch.SetQueryContext(ctx);
-    ScratchCtxGuard guard{&scratch};
-    for (const uint32_t pos : survivors) {
-      if (ctx != nullptr && ctx->stopped()) break;
-      if (distance_->WithinThreshold(precomp[pos].soa.view(), qv, tau,
-                                     &scratch)) {
-        accepted->push_back(pos);
-      }
-    }
-  } else {
-    // Chunk the DP work across the pool. Accept bits land in a flags lane
-    // and are compacted serially afterwards, so the output order matches the
-    // serial path. Each chunk measures its own CPU time (CpuTimer is
-    // per-thread) and the sum is reported as offloaded_seconds for the
-    // cluster's virtual-time ledger.
-    uint8_t* flags = scratch.Flags(count);
-    const size_t chunk_count = std::min(count, pool->num_threads() * 4);
-    const size_t chunk_len = (count + chunk_count - 1) / chunk_count;
-    double* chunk_cpu = scratch.Gap(chunk_count);
-    const uint32_t* surv = survivors.data();
-
-    struct Sync {
-      std::mutex mu;
-      std::condition_variable done;
-      size_t remaining = 0;
-      std::exception_ptr error;
-    } sync;
-    size_t launched = 0;
-    for (size_t c = 0; c < chunk_count && c * chunk_len < count; ++c) {
-      ++launched;
-    }
-    sync.remaining = launched;
-
-    for (size_t c = 0; c < launched; ++c) {
-      const size_t lo = c * chunk_len;
-      const size_t hi = std::min(count, lo + chunk_len);
-      pool->Submit([this, surv, flags, chunk_cpu, lo, hi, c, qv, tau, ctx,
-                    &precomp, &sync] {
-        CpuTimer timer;
-        try {
-          DpScratch& local = DpScratch::ThreadLocal();
-          local.SetQueryContext(ctx);
-          ScratchCtxGuard guard{&local};
-          for (size_t k = lo; k < hi; ++k) {
-            if (ctx != nullptr && ctx->stopped()) {
-              // Remaining flags must not read as stale accepts.
-              for (size_t r = k; r < hi; ++r) flags[r] = 0;
-              break;
-            }
-            flags[k] = distance_->WithinThreshold(precomp[surv[k]].soa.view(),
-                                                  qv, tau, &local)
-                           ? 1
-                           : 0;
-          }
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(sync.mu);
-          if (!sync.error) sync.error = std::current_exception();
-        }
-        chunk_cpu[c] = timer.Seconds();
-        std::lock_guard<std::mutex> lock(sync.mu);
-        if (--sync.remaining == 0) sync.done.notify_all();
-      });
-    }
-    {
-      // Wait on our own latch rather than ThreadPool::Wait(): the pool is
-      // shared, and Wait() would also wait on other callers' tasks.
-      std::unique_lock<std::mutex> lock(sync.mu);
-      sync.done.wait(lock, [&sync] { return sync.remaining == 0; });
-    }
-    if (sync.error) std::rethrow_exception(sync.error);
-
-    out.pool_chunks = launched;
-    for (size_t c = 0; c < launched; ++c) {
-      out.offloaded_seconds += chunk_cpu[c];
-    }
-    for (size_t k = 0; k < count; ++k) {
-      if (flags[k]) accepted->push_back(surv[k]);
-    }
-  }
-
-  out.accepted = accepted->size() - before;
-  if (stats != nullptr) stats->accepted += out.accepted;
-  span.Arg("pairs", candidates.size());
-  span.Arg("survivors", count);
-  span.Arg("accepted", out.accepted);
-  return out;
+  MultiQuery q{batch.candidates, batch.query, batch.tau, batch.dilated,
+               batch.ctx,        accepted,    stats};
+  return VerifyMulti(*batch.precomp, &q, 1, pool, min_parallel, tracer);
 }
 
 Verifier::BatchResult Verifier::VerifyMulti(
@@ -233,28 +94,20 @@ Verifier::BatchResult Verifier::VerifyMulti(
     obs::Tracer* tracer) const {
   BatchResult out;
   if (count == 0) return out;
-  if (count == 1) {
-    Batch b;
-    b.precomp = &precomp;
-    b.candidates = queries[0].candidates;
-    b.query = queries[0].query;
-    b.tau = queries[0].tau;
-    b.dilated = queries[0].dilated;
-    b.ctx = queries[0].ctx;
-    return VerifyBatch(b, pool, min_parallel, queries[0].accepted,
-                       queries[0].stats, tracer);
-  }
-  obs::SpanGuard span(tracer, "verify.multi");
+  obs::SpanGuard span(tracer, count == 1 ? "verify" : "verify.multi");
   DpScratch& scratch = DpScratch::ThreadLocal();
 
-  // Pass 1, member by member: exactly the standalone filter scan — same
-  // stride checkpoints, same prune/dp accounting order, same up-front DP
-  // cell charge. Each member's survivors land contiguously (candidate-list
+  // Pass 1, member by member: cheap filters only — a tight scan over the
+  // precomp array that never touches DP state or raw coordinates,
+  // checkpointed in blocks (filter tests are the unit of work charged
+  // here), then the member's whole DP work charged up front: exceeding
+  // max_dp_cells skips its DP entirely instead of discovering the overrun
+  // halfway in. Each member's survivors land contiguously (candidate-list
   // order) in the shared survivors lane; offs[m] delimits them. A member
   // that stops anywhere in its own pass contributes nothing downstream.
   std::vector<uint32_t>& survivors = scratch.Survivors();
   survivors.clear();
-  std::vector<size_t> offs(count + 1, 0);
+  size_t* offs = scratch.Offsets(count + 1);
   size_t total_pairs = 0;
   constexpr size_t kFilterStride = 256;
   for (size_t m = 0; m < count; ++m) {
@@ -299,12 +152,14 @@ Verifier::BatchResult Verifier::VerifyMulti(
   offs[count] = survivors.size();
   const size_t total = survivors.size();
 
-  // Pass 2: the merged DP work, swept candidate-major. Sorting the packed
-  // (position << 32 | rank) keys groups every (candidate, query) pair that
-  // shares a candidate trajectory, so its SoA lanes are scored against all
-  // interested queries while hot. Accept bits are keyed by survivor rank,
-  // and the per-member compaction below re-reads them in rank order — i.e.
-  // in each member's own candidate order, matching the standalone path.
+  // Pass 2: the merged thresholded DP work, swept candidate-major. Sorting
+  // the packed (position << 32 | rank) keys groups every (candidate, query)
+  // pair that shares a candidate trajectory, so its SoA lanes are scored
+  // against all interested queries while hot (a single member's ranks are
+  // already its own order, so it skips the sort). Accept bits are keyed by
+  // survivor rank, and the per-member compaction below re-reads them in
+  // rank order — i.e. in each member's own candidate order — so the output
+  // is the same whether the sweep ran serially or chunked across the pool.
   if (total > 0) {
     std::vector<uint64_t>& pairs = scratch.Pairs();
     pairs.clear();
@@ -312,102 +167,53 @@ Verifier::BatchResult Verifier::VerifyMulti(
     for (size_t g = 0; g < total; ++g) {
       pairs.push_back((uint64_t{survivors[g]} << 32) | g);
     }
-    std::sort(pairs.begin(), pairs.end());
+    if (count > 1) std::sort(pairs.begin(), pairs.end());
     uint8_t* flags = scratch.Flags(total);
-    const uint32_t* surv = survivors.data();
-    auto member_of = [&offs](size_t g) -> size_t {
-      return static_cast<size_t>(
-          std::upper_bound(offs.begin(), offs.end(), g) - offs.begin() - 1);
+    const uint64_t* keys = pairs.data();
+    const auto member_of = [offs, count](size_t g) -> size_t {
+      return count == 1 ? 0
+                        : static_cast<size_t>(
+                              std::upper_bound(offs, offs + count + 1, g) -
+                              offs - 1);
     };
-
-    struct ScratchCtxGuard {
-      DpScratch* s;
-      ~ScratchCtxGuard() { s->SetQueryContext(nullptr); }
-    };
-    const size_t min_par = std::max<size_t>(min_parallel, 2);
-    if (pool == nullptr || pool->num_threads() < 2 || total < min_par) {
-      ScratchCtxGuard guard{&scratch};
-      for (const uint64_t key : pairs) {
-        const size_t g = static_cast<size_t>(key & 0xffffffffu);
-        const uint32_t pos = static_cast<uint32_t>(key >> 32);
-        MultiQuery& q = queries[member_of(g)];
+    // Each chunk scores on its own thread's scratch; the context rides along
+    // so the kernels' row-block polls see it, and is detached on every exit.
+    // A stopped member's flags must not read as stale accepts; the other
+    // members' pairs in the chunk keep running.
+    std::atomic<size_t> chunks{0};
+    const auto sweep = [&](size_t lo, size_t hi) {
+      chunks.fetch_add(1, std::memory_order_relaxed);
+      DpScratch& local = DpScratch::ThreadLocal();
+      struct CtxGuard {
+        DpScratch* s;
+        ~CtxGuard() { s->SetQueryContext(nullptr); }
+      } guard{&local};
+      for (size_t k = lo; k < hi; ++k) {
+        const size_t g = static_cast<size_t>(keys[k] & 0xffffffffu);
+        const uint32_t pos = static_cast<uint32_t>(keys[k] >> 32);
+        const MultiQuery& q = queries[member_of(g)];
         if (q.ctx != nullptr && q.ctx->stopped()) {
           flags[g] = 0;
           continue;
         }
-        scratch.SetQueryContext(q.ctx);
+        local.SetQueryContext(q.ctx);
         flags[g] = distance_->WithinThreshold(precomp[pos].soa.view(),
                                               q.query->soa.view(), q.tau,
-                                              &scratch)
+                                              &local)
                        ? 1
                        : 0;
       }
-    } else {
-      const uint64_t* pair_data = pairs.data();
-      const size_t chunk_count = std::min(total, pool->num_threads() * 4);
-      const size_t chunk_len = (total + chunk_count - 1) / chunk_count;
-      double* chunk_cpu = scratch.Gap(chunk_count);
+    };
+    // A one-reference capture fits std::function's inline buffer, so the
+    // serial sweep allocates nothing.
+    out.offloaded_seconds = ThreadPool::ParallelFor(
+        pool, total, min_parallel,
+        [&sweep](size_t lo, size_t hi) { sweep(lo, hi); });
+    // ParallelFor runs inline as one chunk, or fans out as two or more.
+    const size_t ran = chunks.load(std::memory_order_relaxed);
+    out.pool_chunks = ran > 1 ? ran : 0;
 
-      struct Sync {
-        std::mutex mu;
-        std::condition_variable done;
-        size_t remaining = 0;
-        std::exception_ptr error;
-      } sync;
-      size_t launched = 0;
-      for (size_t c = 0; c < chunk_count && c * chunk_len < total; ++c) {
-        ++launched;
-      }
-      sync.remaining = launched;
-
-      for (size_t c = 0; c < launched; ++c) {
-        const size_t lo = c * chunk_len;
-        const size_t hi = std::min(total, lo + chunk_len);
-        pool->Submit([this, pair_data, flags, chunk_cpu, lo, hi, c, queries,
-                      &member_of, &precomp, &sync] {
-          CpuTimer timer;
-          try {
-            DpScratch& local = DpScratch::ThreadLocal();
-            ScratchCtxGuard guard{&local};
-            for (size_t k = lo; k < hi; ++k) {
-              const uint64_t key = pair_data[k];
-              const size_t g = static_cast<size_t>(key & 0xffffffffu);
-              const uint32_t pos = static_cast<uint32_t>(key >> 32);
-              MultiQuery& q = queries[member_of(g)];
-              if (q.ctx != nullptr && q.ctx->stopped()) {
-                // A stopped member's flags must not read as stale accepts;
-                // the other members' pairs in this chunk keep running.
-                flags[g] = 0;
-                continue;
-              }
-              local.SetQueryContext(q.ctx);
-              flags[g] = distance_->WithinThreshold(precomp[pos].soa.view(),
-                                                    q.query->soa.view(), q.tau,
-                                                    &local)
-                             ? 1
-                             : 0;
-            }
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(sync.mu);
-            if (!sync.error) sync.error = std::current_exception();
-          }
-          chunk_cpu[c] = timer.Seconds();
-          std::lock_guard<std::mutex> lock(sync.mu);
-          if (--sync.remaining == 0) sync.done.notify_all();
-        });
-      }
-      {
-        std::unique_lock<std::mutex> lock(sync.mu);
-        sync.done.wait(lock, [&sync] { return sync.remaining == 0; });
-      }
-      if (sync.error) std::rethrow_exception(sync.error);
-
-      out.pool_chunks = launched;
-      for (size_t c = 0; c < launched; ++c) {
-        out.offloaded_seconds += chunk_cpu[c];
-      }
-    }
-
+    const uint32_t* surv = survivors.data();
     for (size_t m = 0; m < count; ++m) {
       MultiQuery& q = queries[m];
       const size_t before = q.accepted->size();
@@ -420,7 +226,7 @@ Verifier::BatchResult Verifier::VerifyMulti(
     }
   }
 
-  span.Arg("queries", count);
+  if (count > 1) span.Arg("queries", count);
   span.Arg("pairs", total_pairs);
   span.Arg("survivors", total);
   span.Arg("accepted", out.accepted);

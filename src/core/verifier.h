@@ -165,14 +165,15 @@ class Verifier {
               const VerifyPrecomp& qp, double tau, VerifyStats* stats,
               const SigBits* dilated = nullptr) const;
 
-  /// Verifies a whole candidate list: a tight first pass runs the MBR/cell
-  /// filters, then the surviving DP work either runs serially on the calling
-  /// thread or — when `pool` is non-null and at least `min_parallel`
-  /// survivors remain — is chunked across the pool. Accepted positions are
-  /// appended to `accepted` in candidate order regardless of the execution
-  /// mode, so results are deterministic. Stats accumulation matches a loop
-  /// of Verify() calls exactly. With `tracer` non-null the batch is wrapped
-  /// in a "verify" span (on the calling thread's lane) carrying the batch's
+  /// Verifies a whole candidate list against one query: a one-member
+  /// VerifyMulti. A tight first pass runs the cheap filters, then the
+  /// surviving DP work either runs serially on the calling thread or —
+  /// when `pool` is non-null and at least `min_parallel` survivors remain
+  /// — is chunked across the pool. Accepted positions are appended to
+  /// `accepted` in candidate order regardless of the execution mode, so
+  /// results are deterministic. Stats accumulation matches a loop of
+  /// Verify() calls exactly. With `tracer` non-null the batch is wrapped in
+  /// a "verify" span (on the calling thread's lane) carrying the batch's
   /// pair / survivor / accepted counts.
   BatchResult VerifyBatch(const Batch& batch, ThreadPool* pool,
                           size_t min_parallel, std::vector<uint32_t>* accepted,
@@ -181,17 +182,17 @@ class Verifier {
 
   /// Verifies several queries' candidate lists against one partition in a
   /// single pass (DESIGN.md §5f). Per member the filter scan, accounting,
-  /// and context charges are identical to a standalone VerifyBatch call;
-  /// the surviving DP work of all members is then merged and swept
+  /// and context charges are exactly those of a standalone VerifyBatch
+  /// call; the surviving DP work of all members is then merged and swept
   /// candidate-major — one candidate trajectory's SoA lanes are scored
   /// against every interested query back to back while they are hot —
-  /// either serially or chunked across `pool` (`min_parallel` applies to
-  /// the merged survivor count). Per-member outputs are deterministic and
-  /// bit-identical to the standalone path; a member whose context stops
-  /// mid-sweep only loses its own remaining DP work (its partial output
-  /// must be discarded by the caller, as everywhere else). The summed
-  /// BatchResult's offloaded_seconds must be charged to the caller's
-  /// cluster task as usual.
+  /// through ThreadPool::ParallelFor (`min_parallel` applies to the merged
+  /// survivor count). Per-member outputs are deterministic; a member whose
+  /// context stops mid-sweep only loses its own remaining DP work (its
+  /// partial output must be discarded by the caller, as everywhere else).
+  /// The summed BatchResult's offloaded_seconds must be charged to the
+  /// caller's cluster task as usual. The span is "verify" for one member
+  /// and "verify.multi" for several.
   BatchResult VerifyMulti(const std::vector<VerifyPrecomp>& precomp,
                           MultiQuery* queries, size_t count, ThreadPool* pool,
                           size_t min_parallel,

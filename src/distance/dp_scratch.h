@@ -39,6 +39,8 @@ class DpScratch {
 
   /// Per-survivor accept flags for parallel batch verification.
   uint8_t* Flags(size_t n) { return Ensure(&flags_, n); }
+  /// Per-member survivor offsets of a multi-query verification pass.
+  size_t* Offsets(size_t n) { return Ensure(&offs_, n); }
 
   /// Position buffers reused by search and batch verification. Callers clear
   /// before use; capacity is retained across calls.
@@ -50,6 +52,16 @@ class DpScratch {
   /// candidate's SoA lanes stay hot while it is scored against every query
   /// in the batch.
   std::vector<uint64_t>& Pairs() { return pairs_; }
+  /// Per-member candidate / accepted position lists of a batched search
+  /// task, one of each per query probing the partition. The list arrays
+  /// grow once (counted by reallocations()) and each list keeps its
+  /// capacity, so a steady stream of searches allocates nothing here.
+  std::vector<uint32_t>* CandidateLists(size_t n) {
+    return Ensure(&cand_lists_, n);
+  }
+  std::vector<uint32_t>* AcceptedLists(size_t n) {
+    return Ensure(&acc_lists_, n);
+  }
 
   /// Extract a trajectory into the A/B coordinate lanes. Entry points taking
   /// Trajectory arguments use these; callers holding a precomputed
@@ -76,11 +88,17 @@ class DpScratch {
   /// Heap bytes currently held across all lanes — the basis for the
   /// ResourceBudget::max_scratch_bytes cap.
   size_t ByteSize() const {
-    return (row_a_.capacity() + row_b_.capacity() + dist_.capacity() +
+    size_t list_bytes = 0;
+    for (const auto* lists : {&cand_lists_, &acc_lists_}) {
+      list_bytes += lists->capacity() * sizeof(std::vector<uint32_t>);
+      for (const auto& l : *lists) list_bytes += l.capacity() * sizeof(uint32_t);
+    }
+    return list_bytes + (row_a_.capacity() + row_b_.capacity() + dist_.capacity() +
             gap_.capacity() + ax_.capacity() + ay_.capacity() +
             bx_.capacity() + by_.capacity()) *
                sizeof(double) +
-           (irow_a_.capacity() + irow_b_.capacity()) * sizeof(size_t) +
+           (irow_a_.capacity() + irow_b_.capacity() + offs_.capacity()) *
+               sizeof(size_t) +
            flags_.capacity() * sizeof(uint8_t) +
            (candidates_.capacity() + survivors_.capacity() +
             accepted_.capacity()) *
@@ -111,11 +129,12 @@ class DpScratch {
   }
 
   std::vector<double> row_a_, row_b_, dist_, gap_;
-  std::vector<size_t> irow_a_, irow_b_;
+  std::vector<size_t> irow_a_, irow_b_, offs_;
   std::vector<uint8_t> flags_;
   std::vector<double> ax_, ay_, bx_, by_;
   std::vector<uint32_t> candidates_, survivors_, accepted_;
   std::vector<uint64_t> pairs_;
+  std::vector<std::vector<uint32_t>> cand_lists_, acc_lists_;
   uint64_t reallocations_ = 0;
   QueryContext* ctx_ = nullptr;
 };

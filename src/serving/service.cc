@@ -202,11 +202,8 @@ Status DitaService::Start(const Dataset& initial) {
   auto snap = std::make_shared<TableSnapshot>();
   auto ids = std::make_shared<std::unordered_set<TrajectoryId>>();
   auto data = std::make_shared<std::vector<Trajectory>>(initial.trajectories());
+  // BuildIndex validates the trajectories themselves.
   for (const Trajectory& t : *data) {
-    if (t.size() < 2) {
-      return Status::InvalidArgument(
-          "DITA requires trajectories with at least 2 points");
-    }
     if (!ids->insert(t.id()).second) {
       return Status::InvalidArgument("duplicate trajectory id in initial data");
     }
@@ -278,10 +275,7 @@ uint64_t DitaService::merges() const {
 
 Status DitaService::Insert(const Trajectory& t) {
   if (!started_) return Status::Internal("DitaService used before Start");
-  if (t.size() < 2) {
-    return Status::InvalidArgument(
-        "DITA requires trajectories with at least 2 points");
-  }
+  DITA_RETURN_IF_ERROR(DitaEngine::ValidateTrajectory(t));
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     const std::shared_ptr<const TableSnapshot> cur = Pin();
@@ -619,120 +613,138 @@ uint64_t DitaService::EstimateCost(const TableSnapshot& snap,
 }
 
 Result<QueryResult> DitaService::Execute(const QueryRequest& req) const {
-  return ExecuteInternal(req, NowSeconds(), 0);
+  const double arrival = NowSeconds();
+  Result<QueryResult> out = Status::Internal("request not served");
+  Serve({&req, 1}, &arrival, 0, &out);
+  return out;
 }
 
-Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
-                                                 double arrival_seconds,
-                                                 uint8_t extra_flags) const {
-  if (!started_) return Status::Internal("DitaService used before Start");
-  obs::RequestRecord rec;
-  rec.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  rec.kind = static_cast<uint8_t>(req.kind);
-  rec.flags = extra_flags;
-  rec.arrival_seconds = arrival_seconds;
-  // Stash MergeBusyAt(arrival); FinishRequest turns it into the overlap.
-  rec.merge_overlap_seconds = MergeBusyAt(arrival_seconds);
-  double last = NowSeconds();
-  rec.queue_seconds = last - arrival_seconds;
+void DitaService::Serve(std::span<const QueryRequest> reqs,
+                        const double* arrivals, uint8_t extra_flags,
+                        Result<QueryResult>* out) const {
+  if (!started_) {
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      out[i] = Status::Internal("DitaService used before Start");
+    }
+    return;
+  }
+  const double t_pickup = NowSeconds();
+  std::vector<obs::RequestRecord> recs(reqs.size());
+  std::vector<size_t> live;
+  live.reserve(reqs.size());
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    DITA_CHECK(reqs.size() == 1 || Coalescible(reqs[i]));
+    obs::RequestRecord& rec = recs[i];
+    rec.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    rec.kind = static_cast<uint8_t>(reqs[i].kind);
+    rec.flags = extra_flags;
+    rec.arrival_seconds = arrivals != nullptr ? arrivals[i] : t_pickup;
+    // Stash MergeBusyAt(arrival); FinishRequest turns it into the overlap.
+    rec.merge_overlap_seconds = MergeBusyAt(rec.arrival_seconds);
+    rec.queue_seconds = t_pickup - rec.arrival_seconds;
+    const Status valid = DitaEngine::ValidateRequest(reqs[i]);
+    if (!valid.ok()) {
+      out[i] = valid;
+      FinishRequest(&rec, NowSeconds(), &out[i]);
+      continue;
+    }
+    live.push_back(i);
+  }
 
   // Answer cache (DESIGN.md §5g): a hit returns the stored result without
   // an admission grant — the point of the tier is that repeated reads skip
   // the scheduler and the engine entirely. Joins are never cached (their
   // answer depends on a second table's state), nor are context-carrying
-  // requests (a deadline/budget can degrade the answer).
-  AnswerCache::Key ckey;
-  const bool cacheable =
-      answer_cache_.enabled() && req.ctx == nullptr &&
-      req.kind != QueryKind::kJoin && req.join_right == nullptr &&
-      req.join_right_service == nullptr;
-  if (cacheable) {
-    ckey = AnswerCache::KeyFor(req);
-    QueryResult hit;
-    const bool got = answer_cache_.Lookup(ckey, Pin()->version, &hit);
-    const double now = NowSeconds();
-    rec.cache_seconds = now - last;
-    last = now;
-    if (tracer_ != nullptr) {
-      tracer_->Instant(got ? "serving.cache.hit" : "serving.cache.miss",
-                       obs::kCacheLane);
-    }
-    if (got) {
-      m_queries_.Increment();
-      if (req.collect_stats) RecordExplain(hit);
+  // requests (a deadline/budget can degrade the answer). Each hit is
+  // consistent with the version it was stored against.
+  const auto cacheable = [&](size_t i) {
+    const QueryRequest& req = reqs[i];
+    return answer_cache_.enabled() && req.ctx == nullptr &&
+           req.kind != QueryKind::kJoin && req.join_right == nullptr &&
+           req.join_right_service == nullptr;
+  };
+  if (answer_cache_.enabled()) {
+    const uint64_t version = Pin()->version;
+    std::erase_if(live, [&](size_t i) {
+      if (!cacheable(i)) return false;
+      QueryResult hit;
+      const bool got =
+          answer_cache_.Lookup(AnswerCache::KeyFor(reqs[i]), version, &hit);
+      if (tracer_ != nullptr) {
+        tracer_->Instant(got ? "serving.cache.hit" : "serving.cache.miss",
+                         obs::kCacheLane);
+      }
+      if (!got) return false;
+      obs::RequestRecord& rec = recs[i];
       rec.flags |= obs::RequestRecord::kCacheHit;
-      Result<QueryResult> res(std::move(hit));
-      FinishRequest(&rec, NowSeconds(), &res);
-      return res;
-    }
+      rec.cache_seconds = NowSeconds() - t_pickup;
+      m_queries_.Increment();
+      if (reqs[i].collect_stats) RecordExplain(hit);
+      out[i] = std::move(hit);
+      FinishRequest(&rec, NowSeconds(), &out[i]);
+      return true;
+    });
   }
-  // Cost is estimated against the snapshot current at arrival; the query
-  // itself runs on the snapshot pinned *after* the grant, so it sees every
-  // write that completed before it was scheduled.
-  const uint64_t cost = EstimateCost(*Pin(), req);
-  QueryScheduler::Grant grant;
-  const Status admitted =
-      scheduler_->Acquire(req.priority, cost, req.ctx, &grant);
+  if (live.empty()) return;
+  const size_t n = live.size();
+  const double t_cache = NowSeconds();
+
+  // One fair-share grant covers the group: the members' summed cost at the
+  // most urgent member's priority, so the scheduler sees the same load the
+  // standalone calls would have presented. A lone request waits under its
+  // own context. Cost is estimated against the snapshot current at
+  // arrival; the body runs on the snapshot pinned *after* the grant, so it
+  // sees every write that completed before it was scheduled.
+  uint64_t cost = 0;
+  int priority = reqs[live[0]].priority;
   {
-    const double now = NowSeconds();
-    rec.admission_seconds = now - last;
-    last = now;
-  }
-  g_inflight_cost_.Set(static_cast<int64_t>(scheduler_->slots_in_use()));
-  if (!admitted.ok()) {
-    if (req.ctx != nullptr) {
-      rec.stop_cause = static_cast<uint8_t>(req.ctx->stop_cause());
+    const std::shared_ptr<const TableSnapshot> cur = Pin();
+    for (const size_t i : live) {
+      cost += EstimateCost(*cur, reqs[i]);
+      priority = std::min(priority, reqs[i].priority);
     }
-    Result<QueryResult> res = admitted;
-    FinishRequest(&rec, NowSeconds(), &res);
-    return res;
+  }
+  QueryScheduler::Grant grant;
+  const Status admitted = scheduler_->Acquire(
+      priority, cost, n == 1 ? reqs[live[0]].ctx : nullptr, &grant);
+  const double t_admit = NowSeconds();
+  g_inflight_cost_.Set(static_cast<int64_t>(scheduler_->slots_in_use()));
+  for (const size_t i : live) {
+    recs[i].cache_seconds = t_cache - t_pickup;
+    recs[i].admission_seconds = t_admit - t_cache;
+    if (n > 1) recs[i].flags |= obs::RequestRecord::kCoalesced;
+  }
+  const auto finish = [&](size_t i) {
+    if (reqs[i].ctx != nullptr) {
+      recs[i].stop_cause = static_cast<uint8_t>(reqs[i].ctx->stop_cause());
+    }
+    FinishRequest(&recs[i], NowSeconds(), &out[i]);
+  };
+  if (!admitted.ok()) {
+    for (const size_t i : live) {
+      out[i] = admitted;
+      finish(i);
+    }
+    return;
   }
   const std::shared_ptr<const TableSnapshot> snap = Pin();
   g_pinned_snapshots_.Set(
       pinned_queries_.fetch_add(1, std::memory_order_relaxed) + 1);
-
-  obs::SpanGuard span(tracer_, "serving.query");
+  obs::SpanGuard span(tracer_, n == 1 ? "serving.query" : "serving.query.batch");
   span.Arg("epoch", snap->epoch);
-  m_queries_.Increment();
-  {
-    const double now = NowSeconds();
-    rec.pin_seconds = now - last;
-    last = now;
-  }
+  if (n > 1) span.Arg("queries", n);
+  m_queries_.Add(n);
+  const double t_pin = NowSeconds();
 
+  // Searches share one snapshot body; kNN and joins run alone.
   PhaseSplit split;
-  Result<QueryResult> res = Status::OK();
-  switch (req.kind) {
-    case QueryKind::kSearch:
-      res = SearchSnapshot(*snap, req, &split);
-      break;
-    case QueryKind::kKnnSearch:
-      res = KnnSnapshot(*snap, req, &split);
-      break;
-    case QueryKind::kJoin: {
-      if (req.join_right_service != nullptr && req.join_right != nullptr) {
-        res = Status::InvalidArgument(
-            "set at most one of join_right / join_right_service");
-      } else if (req.join_right_service != nullptr &&
-                 req.join_right_service != this) {
-        if (req.join_right_service->cluster_.get() != cluster_.get()) {
-          res = Status::InvalidArgument("joined tables must share a cluster");
-        } else {
-          const std::shared_ptr<const TableSnapshot> rsnap =
-              req.join_right_service->Pin();
-          res = JoinSnapshots(*snap, *rsnap, req, &split);
-        }
-      } else if (req.join_right != nullptr) {
-        // Bare-engine right side: wrap it as a deltaless snapshot.
-        TableSnapshot rsnap;
-        rsnap.base = std::shared_ptr<const DitaEngine>(
-            std::shared_ptr<const DitaEngine>(), req.join_right);
-        res = JoinSnapshots(*snap, rsnap, req, &split);
-      } else {
-        res = JoinSnapshots(*snap, *snap, req, &split);
-      }
-      break;
-    }
+  const QueryRequest& first = reqs[live[0]];
+  if (first.kind == QueryKind::kSearch) {
+    SearchSnapshot(*snap, reqs, live, out, &split);
+  } else if (first.kind == QueryKind::kKnnSearch) {
+    out[live[0]] = KnnSnapshot(*snap, first, &split);
+  } else {
+    out[live[0]] = JoinTargets(*snap, first, &split);
   }
   g_pinned_snapshots_.Set(
       pinned_queries_.fetch_sub(1, std::memory_order_relaxed) - 1);
@@ -743,28 +755,52 @@ Result<QueryResult> DitaService::ExecuteInternal(const QueryRequest& req,
       split.base_done_seconds > 0.0 ? split.base_done_seconds : body_end;
   const double delta_done =
       split.delta_done_seconds > 0.0 ? split.delta_done_seconds : body_end;
-  rec.base_seconds = base_done - last;
-  rec.delta_seconds = delta_done - base_done;
-  if (req.ctx != nullptr) {
-    rec.stop_cause = static_cast<uint8_t>(req.ctx->stop_cause());
+  for (const size_t i : live) {
+    recs[i].pin_seconds = t_pin - t_admit;
+    recs[i].base_seconds = base_done - t_pin;
+    recs[i].delta_seconds = delta_done - base_done;
+    if (out[i].ok()) {
+      QueryResult& res = *out[i];
+      res.serving.epoch = snap->epoch;
+      res.serving.version = snap->version;
+      m_delta_scanned_.Add(res.serving.delta_scanned);
+      if (reqs[i].collect_stats) RecordExplain(res);
+      // Only complete answers are cacheable; a hit is indistinguishable
+      // from a recompute only when the stored result is the full one. The
+      // version tag makes a Store racing a publish harmless (Lookup
+      // rejects it).
+      if (cacheable(i) && res.search_stats.termination.ok() &&
+          res.search_stats.completeness >= 1.0) {
+        answer_cache_.Store(AnswerCache::KeyFor(reqs[i]), snap->version, res);
+      }
+    }
+    finish(i);
   }
-  if (!res.ok()) {
-    FinishRequest(&rec, NowSeconds(), &res);
-    return res;
+}
+
+Result<QueryResult> DitaService::JoinTargets(const TableSnapshot& snap,
+                                             const QueryRequest& req,
+                                             PhaseSplit* split) const {
+  if (req.join_right_service != nullptr && req.join_right != nullptr) {
+    return Status::InvalidArgument(
+        "set at most one of join_right / join_right_service");
   }
-  res->serving.epoch = snap->epoch;
-  res->serving.version = snap->version;
-  m_delta_scanned_.Add(res->serving.delta_scanned);
-  if (req.collect_stats) RecordExplain(*res);
-  // Only complete answers are cacheable; a hit is indistinguishable from a
-  // recompute only when the stored result is the full one. The version tag
-  // makes a Store racing a publish harmless (Lookup rejects it).
-  if (cacheable && res->search_stats.termination.ok() &&
-      res->search_stats.completeness >= 1.0) {
-    answer_cache_.Store(ckey, snap->version, *res);
+  if (req.join_right_service != nullptr && req.join_right_service != this) {
+    if (req.join_right_service->cluster_.get() != cluster_.get()) {
+      return Status::InvalidArgument("joined tables must share a cluster");
+    }
+    const std::shared_ptr<const TableSnapshot> rsnap =
+        req.join_right_service->Pin();
+    return JoinSnapshots(snap, *rsnap, req, split);
   }
-  FinishRequest(&rec, NowSeconds(), &res);
-  return res;
+  if (req.join_right != nullptr) {
+    // Bare-engine right side: wrap it as a deltaless snapshot.
+    TableSnapshot rsnap;
+    rsnap.base = std::shared_ptr<const DitaEngine>(
+        std::shared_ptr<const DitaEngine>(), req.join_right);
+    return JoinSnapshots(snap, rsnap, req, split);
+  }
+  return JoinSnapshots(snap, snap, req, split);
 }
 
 std::future<Result<QueryResult>> DitaService::Submit(QueryRequest req) const {
@@ -830,16 +866,12 @@ void DitaService::ExecutorLoop(size_t executor_index) {
       }
       g_queue_depth_.Set(static_cast<int64_t>(jobs_.size()));
     }
-    if (batch.size() == 1) {
-      Job& j = batch.front();
-      j.promise.set_value(ExecuteInternal(j.req, j.enqueue_seconds,
-                                          obs::RequestRecord::kAsync));
-      continue;
+    if (batch.size() > 1) {
+      coalesced_batches_.fetch_add(1);
+      coalesced_queries_.fetch_add(batch.size());
+      m_coalesced_queries_.Add(batch.size());
+      h_batch_size_.Observe(static_cast<double>(batch.size()));
     }
-    coalesced_batches_.fetch_add(1);
-    coalesced_queries_.fetch_add(batch.size());
-    m_coalesced_queries_.Add(batch.size());
-    h_batch_size_.Observe(static_cast<double>(batch.size()));
     std::vector<QueryRequest> reqs;
     std::vector<double> arrivals;
     reqs.reserve(batch.size());
@@ -848,8 +880,9 @@ void DitaService::ExecutorLoop(size_t executor_index) {
       reqs.push_back(std::move(j.req));
       arrivals.push_back(j.enqueue_seconds);
     }
-    std::vector<Result<QueryResult>> results =
-        ExecuteBatchInternal(reqs, arrivals, obs::RequestRecord::kAsync);
+    std::vector<Result<QueryResult>> results(
+        batch.size(), Status::Internal("request not served"));
+    Serve(reqs, arrivals.data(), obs::RequestRecord::kAsync, results.data());
     for (size_t i = 0; i < batch.size(); ++i) {
       batch[i].promise.set_value(std::move(results[i]));
     }
@@ -858,384 +891,109 @@ void DitaService::ExecutorLoop(size_t executor_index) {
 
 std::vector<Result<QueryResult>> DitaService::ExecuteBatch(
     const std::vector<QueryRequest>& reqs) const {
-  return ExecuteBatchInternal(reqs, {}, 0);
-}
-
-std::vector<Result<QueryResult>> DitaService::ExecuteBatchInternal(
-    const std::vector<QueryRequest>& reqs, const std::vector<double>& arrivals,
-    uint8_t extra_flags) const {
-  const double t_pickup = NowSeconds();
-  const auto arrival_of = [&](size_t i) {
-    return i < arrivals.size() ? arrivals[i] : t_pickup;
-  };
-  std::vector<Result<QueryResult>> out;
-  out.reserve(reqs.size());
+  std::vector<Result<QueryResult>> out(reqs.size(),
+                                       Status::Internal("request not served"));
+  // The searches form one group; every other request is a group of one.
+  std::vector<QueryRequest> searches;
+  std::vector<size_t> at;
   for (size_t i = 0; i < reqs.size(); ++i) {
-    out.push_back(
-        Result<QueryResult>(Status::Internal("batch slot not filled")));
+    if (Coalescible(reqs[i])) {
+      at.push_back(i);
+    } else {
+      Serve({&reqs[i], 1}, nullptr, 0, &out[i]);
+    }
   }
-  if (reqs.empty()) return out;
-  if (!started_) {
-    for (auto& r : out) r = Status::Internal("DitaService used before Start");
+  if (at.size() == reqs.size()) {
+    Serve(reqs, nullptr, 0, out.data());
     return out;
   }
-  // Joins and kNN take the standalone path with their own grants; only
-  // threshold searches share the batch machinery. Cache hits peel off
-  // before admission, exactly as in Execute — each hit is individually
-  // consistent with the version it was stored against.
-  std::vector<size_t> members;
-  const bool cache_on = answer_cache_.enabled();
-  const uint64_t look_version = cache_on ? Pin()->version : 0;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (!Coalescible(reqs[i])) {
-      out[i] = ExecuteInternal(reqs[i], arrival_of(i), extra_flags);
-      continue;
-    }
-    if (cache_on && reqs[i].ctx == nullptr) {
-      QueryResult hit;
-      const bool got = answer_cache_.Lookup(AnswerCache::KeyFor(reqs[i]),
-                                            look_version, &hit);
-      if (tracer_ != nullptr) {
-        tracer_->Instant(got ? "serving.cache.hit" : "serving.cache.miss",
-                         obs::kCacheLane);
-      }
-      if (got) {
-        obs::RequestRecord rec;
-        rec.request_id =
-            request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-        rec.kind = static_cast<uint8_t>(reqs[i].kind);
-        rec.flags = extra_flags | obs::RequestRecord::kCacheHit;
-        rec.arrival_seconds = arrival_of(i);
-        rec.merge_overlap_seconds = MergeBusyAt(rec.arrival_seconds);
-        rec.queue_seconds = t_pickup - rec.arrival_seconds;
-        rec.cache_seconds = NowSeconds() - t_pickup;
-        m_queries_.Increment();
-        if (reqs[i].collect_stats) RecordExplain(hit);
-        Result<QueryResult> r(std::move(hit));
-        FinishRequest(&rec, NowSeconds(), &r);
-        out[i] = std::move(r);
-        continue;
-      }
-    }
-    members.push_back(i);
-  }
-  if (members.empty()) return out;
-  if (members.size() == 1) {
-    out[members[0]] =
-        ExecuteInternal(reqs[members[0]], arrival_of(members[0]), extra_flags);
-    return out;
-  }
-  const size_t n = members.size();
-  const double t_cache = NowSeconds();
-
-  // One fair-share grant covers the whole batch: the members' summed cost
-  // at the most urgent member's priority, so the scheduler sees the same
-  // load the standalone calls would have presented.
-  uint64_t cost = 0;
-  int priority = reqs[members[0]].priority;
-  {
-    const std::shared_ptr<const TableSnapshot> cur = Pin();
-    for (const size_t i : members) {
-      cost += EstimateCost(*cur, reqs[i]);
-      priority = std::min(priority, reqs[i].priority);
-    }
-  }
-  QueryScheduler::Grant grant;
-  const Status adm = scheduler_->Acquire(priority, cost, nullptr, &grant);
-  const double t_admit = NowSeconds();
-  g_inflight_cost_.Set(static_cast<int64_t>(scheduler_->slots_in_use()));
-  // Seeds a member's lifecycle record with the batch's shared boundaries:
-  // per-member queue, then one cache / admission window for the whole batch.
-  const auto member_record = [&](size_t i) {
-    obs::RequestRecord rec;
-    rec.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    rec.kind = static_cast<uint8_t>(reqs[i].kind);
-    rec.flags = extra_flags | obs::RequestRecord::kCoalesced;
-    rec.arrival_seconds = arrival_of(i);
-    rec.merge_overlap_seconds = MergeBusyAt(rec.arrival_seconds);
-    rec.queue_seconds = t_pickup - rec.arrival_seconds;
-    rec.cache_seconds = t_cache - t_pickup;
-    rec.admission_seconds = t_admit - t_cache;
-    if (reqs[i].ctx != nullptr) {
-      rec.stop_cause = static_cast<uint8_t>(reqs[i].ctx->stop_cause());
-    }
-    return rec;
-  };
-  if (!adm.ok()) {
-    for (const size_t i : members) {
-      obs::RequestRecord rec = member_record(i);
-      Result<QueryResult> r = adm;
-      FinishRequest(&rec, NowSeconds(), &r);
-      out[i] = std::move(r);
-    }
-    return out;
-  }
-  const std::shared_ptr<const TableSnapshot> snap = Pin();
-  g_pinned_snapshots_.Set(
-      pinned_queries_.fetch_add(1, std::memory_order_relaxed) + 1);
-
-  obs::SpanGuard span(tracer_, "serving.query.batch");
-  span.Arg("epoch", snap->epoch);
-  span.Arg("queries", n);
-  m_queries_.Add(n);
-  const double t_pin = NowSeconds();
-
-  std::vector<QueryResult> res(n);
-  std::vector<std::vector<TrajectoryId>> ids(n);
-  std::vector<uint8_t> live(n, 1);
-  if (snap->base != nullptr) {
-    std::vector<QueryRequest> base_reqs;
-    base_reqs.reserve(n);
-    for (const size_t i : members) {
-      QueryRequest br = reqs[i];
-      br.join_right = nullptr;
-      br.join_right_service = nullptr;
-      base_reqs.push_back(std::move(br));
-    }
-    std::vector<Result<QueryResult>> base_res =
-        snap->base->ExecuteBatch(base_reqs);
-    for (size_t m = 0; m < n; ++m) {
-      if (!base_res[m].ok()) {
-        out[members[m]] = base_res[m].status();
-        live[m] = 0;
-        continue;
-      }
-      res[m].search_stats = std::move(base_res[m]->search_stats);
-      for (const TrajectoryId id : base_res[m]->ids) {
-        if (snap->deleted.count(id) > 0) {
-          ++res[m].serving.deleted_filtered;
-        } else {
-          ids[m].push_back(id);
-        }
-      }
-    }
-  } else {
-    for (size_t m = 0; m < n; ++m) {
-      const QueryRequest& req = reqs[members[m]];
-      if (req.query.size() < 2) {
-        out[members[m]] = Status::InvalidArgument(
-            "query needs at least 2 points");
-        live[m] = 0;
-      } else if (req.tau < 0) {
-        out[members[m]] =
-            Status::InvalidArgument("threshold must be non-negative");
-        live[m] = 0;
-      }
-    }
-  }
-  const double t_base = NowSeconds();
-
-  // Delta scan: each insert's VerifyPrecomp is computed ONCE and scored
-  // against every live member — the serving-side share of the batch. Per
-  // member, the scan order, counters, and funnel are exactly the standalone
-  // SearchSnapshot delta pass.
-  std::vector<VerifyPrecomp> qps;
-  qps.reserve(n);
-  std::vector<VerifyStats> dstats(n);
-  for (const size_t i : members) {
-    qps.push_back(verifier_->Precompute(reqs[i].query));
-  }
-  // Level-0 sketch over the delta (DESIGN.md §5g): the stored insert
-  // signatures are in the base's frame, so each member's dilated query set
-  // is built there too; the per-insert subset test then mirrors the
-  // indexed path's exactly.
-  const bool sketch = snap->base != nullptr && snap->base->SketchActive() &&
-                      !snap->inserts.empty();
-  std::vector<SigBits> dsig(sketch ? n : 0);
-  if (sketch) {
-    for (size_t m = 0; m < n; ++m) {
-      if (!live[m]) continue;
-      const QueryRequest& req = reqs[members[m]];
-      dsig[m] = snap->base->DilatedQuerySig(req.query, req.tau);
-    }
-  }
-  for (size_t d = 0; d < snap->inserts.size(); ++d) {
-    const Trajectory& t = snap->inserts[d];
-    VerifyPrecomp tp = verifier_->Precompute(t);
-    if (sketch) tp.sig = snap->insert_sigs[d];
-    for (size_t m = 0; m < n; ++m) {
-      if (!live[m]) continue;
-      const QueryRequest& req = reqs[members[m]];
-      ++res[m].serving.delta_scanned;
-      if (verifier_->Verify(t, tp, req.query, qps[m], req.tau, &dstats[m],
-                            sketch ? &dsig[m] : nullptr)) {
-        ids[m].push_back(t.id());
-        ++res[m].serving.delta_matches;
-      }
-    }
-  }
-  const double t_delta = NowSeconds();
-
-  for (size_t m = 0; m < n; ++m) {
-    obs::RequestRecord rec = member_record(members[m]);
-    rec.pin_seconds = t_pin - t_admit;
-    rec.base_seconds = t_base - t_pin;
-    rec.delta_seconds = t_delta - t_base;
-    if (!live[m]) {
-      // out[members[m]] already holds this member's error status.
-      FinishRequest(&rec, NowSeconds(), &out[members[m]]);
-      continue;
-    }
-    const QueryRequest& req = reqs[members[m]];
-    res[m].kind = QueryKind::kSearch;
-    if (!snap->inserts.empty() && req.collect_stats) {
-      res[m].serving.delta_funnel.AddLevel("delta buffer",
-                                           snap->inserts.size());
-      res[m].serving.delta_funnel.AddLevel(
-          "sketch signature", dstats[m].pairs - dstats[m].pruned_by_sketch);
-      res[m].serving.delta_funnel.AddLevel(
-          "mbr coverage", dstats[m].pairs - dstats[m].pruned_by_sketch -
-                              dstats[m].pruned_by_mbr);
-      res[m].serving.delta_funnel.AddLevel("cell bound",
-                                           dstats[m].dp_computed);
-      res[m].serving.delta_funnel.AddLevel("threshold dp",
-                                           dstats[m].accepted);
-    }
-    std::sort(ids[m].begin(), ids[m].end());
-    res[m].ids = std::move(ids[m]);
-    if (req.collect_stats) res[m].search_stats.results = res[m].ids.size();
-    res[m].serving.epoch = snap->epoch;
-    res[m].serving.version = snap->version;
-    m_delta_scanned_.Add(res[m].serving.delta_scanned);
-    if (req.collect_stats) RecordExplain(res[m]);
-    if (cache_on && req.ctx == nullptr &&
-        res[m].search_stats.termination.ok() &&
-        res[m].search_stats.completeness >= 1.0) {
-      answer_cache_.Store(AnswerCache::KeyFor(req), snap->version, res[m]);
-    }
-    Result<QueryResult> r(std::move(res[m]));
-    FinishRequest(&rec, NowSeconds(), &r);
-    out[members[m]] = std::move(r);
-  }
-  g_pinned_snapshots_.Set(
-      pinned_queries_.fetch_sub(1, std::memory_order_relaxed) - 1);
+  searches.reserve(at.size());
+  for (const size_t i : at) searches.push_back(reqs[i]);
+  std::vector<Result<QueryResult>> found(at.size(),
+                                         Status::Internal("request not served"));
+  Serve(searches, nullptr, 0, found.data());
+  for (size_t j = 0; j < at.size(); ++j) out[at[j]] = std::move(found[j]);
   return out;
 }
 
-Status DitaService::SearchIdsInto(const TableSnapshot& snap,
-                                  const Trajectory& q, double tau,
-                                  QueryContext* ctx,
-                                  QueryResult::ServingInfo* acct,
-                                  std::vector<TrajectoryId>* out) const {
+void DitaService::SearchSnapshot(const TableSnapshot& snap,
+                                 std::span<const QueryRequest> reqs,
+                                 std::span<const size_t> members,
+                                 Result<QueryResult>* out,
+                                 PhaseSplit* split) const {
+  // Base index: one pass of the engine's search body over every member
+  // (the requests were validated on arrival), minus answers whose id was
+  // deleted.
   if (snap.base != nullptr) {
-    QueryRequest base_req;
-    base_req.kind = QueryKind::kSearch;
-    base_req.query = q;
-    base_req.tau = tau;
-    base_req.ctx = ctx;
-    base_req.collect_stats = false;
-    auto r = snap.base->Execute(base_req);
-    DITA_RETURN_IF_ERROR(r.status());
-    for (const TrajectoryId id : r->ids) {
-      if (snap.deleted.count(id) > 0) {
-        ++acct->deleted_filtered;
-      } else {
-        out->push_back(id);
-      }
-    }
+    snap.base->SearchBatchImpl(reqs, members, out);
   } else {
-    if (q.size() < 2) {
-      return Status::InvalidArgument("query needs at least 2 points");
-    }
-    if (tau < 0) {
-      return Status::InvalidArgument("threshold must be non-negative");
-    }
+    for (const size_t i : members) out[i] = QueryResult{};
   }
-  // Delta scan: exact, because Verifier::Verify is the same accept
-  // predicate the indexed path ends in (sound filters + thresholded DP).
-  // The level-0 sketch test reuses the signatures Insert quantized in the
-  // base's frame against the query's dilated set in that same frame.
-  const VerifyPrecomp qp = verifier_->Precompute(q);
-  const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
-                      !snap.inserts.empty();
-  SigBits dilated;
-  if (sketch) dilated = snap.base->DilatedQuerySig(q, tau);
-  VerifyStats dstats;
-  for (size_t d = 0; d < snap.inserts.size(); ++d) {
-    const Trajectory& t = snap.inserts[d];
-    ++acct->delta_scanned;
-    VerifyPrecomp tp = verifier_->Precompute(t);
-    if (sketch) tp.sig = snap.insert_sigs[d];
-    if (verifier_->Verify(t, tp, q, qp, tau, &dstats,
-                          sketch ? &dilated : nullptr)) {
-      out->push_back(t.id());
-      ++acct->delta_matches;
-    }
-  }
-  if (!snap.inserts.empty()) {
-    acct->delta_funnel.AddLevel("delta buffer", snap.inserts.size());
-    acct->delta_funnel.AddLevel("sketch signature",
-                                dstats.pairs - dstats.pruned_by_sketch);
-    acct->delta_funnel.AddLevel(
-        "mbr coverage",
-        dstats.pairs - dstats.pruned_by_sketch - dstats.pruned_by_mbr);
-    acct->delta_funnel.AddLevel("cell bound", dstats.dp_computed);
-    acct->delta_funnel.AddLevel("threshold dp", dstats.accepted);
-  }
-  return Status::OK();
-}
-
-Result<QueryResult> DitaService::SearchSnapshot(const TableSnapshot& snap,
-                                                const QueryRequest& req,
-                                                PhaseSplit* split) const {
-  QueryResult res;
-  res.kind = QueryKind::kSearch;
-  std::vector<TrajectoryId> ids;
-  if (snap.base != nullptr) {
-    QueryRequest base_req = req;
-    base_req.join_right = nullptr;
-    base_req.join_right_service = nullptr;
-    auto r = snap.base->Execute(base_req);
-    DITA_RETURN_IF_ERROR(r.status());
-    res.search_stats = std::move(r->search_stats);
-    for (const TrajectoryId id : r->ids) {
-      if (snap.deleted.count(id) > 0) {
-        ++res.serving.deleted_filtered;
-      } else {
-        ids.push_back(id);
-      }
-    }
-  } else {
-    if (req.query.size() < 2) {
-      return Status::InvalidArgument("query needs at least 2 points");
-    }
-    if (req.tau < 0) {
-      return Status::InvalidArgument("threshold must be non-negative");
-    }
+  for (const size_t i : members) {
+    if (!out[i].ok()) continue;
+    QueryResult& res = *out[i];
+    std::erase_if(res.ids, [&](TrajectoryId id) {
+      if (snap.deleted.count(id) == 0) return false;
+      ++res.serving.deleted_filtered;
+      return true;
+    });
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
-  const VerifyPrecomp qp = verifier_->Precompute(req.query);
-  const bool sketch = snap.base != nullptr && snap.base->SketchActive() &&
-                      !snap.inserts.empty();
-  SigBits dilated;
-  if (sketch) dilated = snap.base->DilatedQuerySig(req.query, req.tau);
-  VerifyStats dstats;
-  for (size_t d = 0; d < snap.inserts.size(); ++d) {
-    const Trajectory& t = snap.inserts[d];
-    ++res.serving.delta_scanned;
-    VerifyPrecomp tp = verifier_->Precompute(t);
-    if (sketch) tp.sig = snap.insert_sigs[d];
-    if (verifier_->Verify(t, tp, req.query, qp, req.tau, &dstats,
-                          sketch ? &dilated : nullptr)) {
-      ids.push_back(t.id());
-      ++res.serving.delta_matches;
+
+  // Delta scan: exact, because Verifier::Verify is the same accept
+  // predicate the indexed path ends in (sound filters + thresholded DP).
+  // Each insert's VerifyPrecomp is computed once and scored against every
+  // member; per member the scan order, counters and funnel are those of a
+  // lone search. The level-0 sketch test reuses the signatures Insert
+  // quantized in the base's frame against each member's dilated set in
+  // that same frame.
+  if (!snap.inserts.empty()) {
+    const size_t n = members.size();
+    const bool sketch = snap.base != nullptr && snap.base->SketchActive();
+    std::vector<VerifyPrecomp> qps(n);
+    std::vector<SigBits> dsig(sketch ? n : 0);
+    std::vector<VerifyStats> dstats(n);
+    for (size_t m = 0; m < n; ++m) {
+      const QueryRequest& req = reqs[members[m]];
+      if (!out[members[m]].ok()) continue;
+      qps[m] = verifier_->Precompute(req.query);
+      if (sketch) dsig[m] = snap.base->DilatedQuerySig(req.query, req.tau);
+    }
+    for (size_t d = 0; d < snap.inserts.size(); ++d) {
+      const Trajectory& t = snap.inserts[d];
+      VerifyPrecomp tp = verifier_->Precompute(t);
+      if (sketch) tp.sig = snap.insert_sigs[d];
+      for (size_t m = 0; m < n; ++m) {
+        if (!out[members[m]].ok()) continue;
+        const QueryRequest& req = reqs[members[m]];
+        QueryResult& res = *out[members[m]];
+        ++res.serving.delta_scanned;
+        if (verifier_->Verify(t, tp, req.query, qps[m], req.tau, &dstats[m],
+                              sketch ? &dsig[m] : nullptr)) {
+          res.ids.push_back(t.id());
+          ++res.serving.delta_matches;
+        }
+      }
+    }
+    for (size_t m = 0; m < n; ++m) {
+      if (!out[members[m]].ok() || !reqs[members[m]].collect_stats) continue;
+      const VerifyStats& ds = dstats[m];
+      obs::FilterFunnel& funnel = out[members[m]]->serving.delta_funnel;
+      funnel.AddLevel("delta buffer", snap.inserts.size());
+      funnel.AddLevel("sketch signature", ds.pairs - ds.pruned_by_sketch);
+      funnel.AddLevel("mbr coverage",
+                      ds.pairs - ds.pruned_by_sketch - ds.pruned_by_mbr);
+      funnel.AddLevel("cell bound", ds.dp_computed);
+      funnel.AddLevel("threshold dp", ds.accepted);
     }
   }
   if (split != nullptr) split->delta_done_seconds = NowSeconds();
-  if (!snap.inserts.empty() && req.collect_stats) {
-    res.serving.delta_funnel.AddLevel("delta buffer", snap.inserts.size());
-    res.serving.delta_funnel.AddLevel("sketch signature",
-                                      dstats.pairs - dstats.pruned_by_sketch);
-    res.serving.delta_funnel.AddLevel(
-        "mbr coverage",
-        dstats.pairs - dstats.pruned_by_sketch - dstats.pruned_by_mbr);
-    res.serving.delta_funnel.AddLevel("cell bound", dstats.dp_computed);
-    res.serving.delta_funnel.AddLevel("threshold dp", dstats.accepted);
+  for (const size_t i : members) {
+    if (!out[i].ok()) continue;
+    QueryResult& res = *out[i];
+    std::sort(res.ids.begin(), res.ids.end());
+    if (reqs[i].collect_stats) res.search_stats.results = res.ids.size();
   }
-  std::sort(ids.begin(), ids.end());
-  res.ids = std::move(ids);
-  if (req.collect_stats) res.search_stats.results = res.ids.size();
-  return res;
 }
 
 Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
@@ -1243,9 +1001,6 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
                                              PhaseSplit* split) const {
   QueryResult res;
   res.kind = QueryKind::kKnnSearch;
-  if (req.query.size() < 2) {
-    return Status::InvalidArgument("query needs at least 2 points");
-  }
   if (req.k == 0) return res;
   if (req.k > snap.live_size()) {
     return Status::InvalidArgument("k exceeds the table cardinality");
@@ -1305,15 +1060,31 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
   return res;
 }
 
+namespace {
+
+/// One threshold-search probe per delta trajectory, for a join's delta
+/// terms: the join's tau and context, no per-probe stats.
+std::vector<QueryRequest> DeltaProbes(const std::vector<Trajectory>& delta,
+                                      const QueryRequest& join) {
+  std::vector<QueryRequest> probes(delta.size());
+  for (size_t d = 0; d < delta.size(); ++d) {
+    probes[d].kind = QueryKind::kSearch;
+    probes[d].query = delta[d];
+    probes[d].tau = join.tau;
+    probes[d].ctx = join.ctx;
+    probes[d].collect_stats = false;
+  }
+  return probes;
+}
+
+}  // namespace
+
 Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
                                                const TableSnapshot& right,
                                                const QueryRequest& req,
                                                PhaseSplit* split) const {
   QueryResult res;
   res.kind = QueryKind::kJoin;
-  if (req.tau < 0) {
-    return Status::InvalidArgument("threshold must be non-negative");
-  }
   std::vector<std::pair<TrajectoryId, TrajectoryId>> pairs;
 
   // Term 1: base x base through the distributed join, minus pairs whose
@@ -1338,44 +1109,53 @@ Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
 
-  // Term 2: left delta x live right (base and delta of the right snapshot).
-  for (const Trajectory& t : left.inserts) {
-    ++res.serving.delta_scanned;
-    std::vector<TrajectoryId> rids;
-    DITA_RETURN_IF_ERROR(
-        SearchIdsInto(right, t, req.tau, req.ctx, &res.serving, &rids));
-    for (const TrajectoryId rid : rids) {
-      pairs.emplace_back(t.id(), rid);
-      ++res.serving.delta_matches;
+  // Term 2: left delta x live right — the left inserts as one batch of
+  // searches against the right snapshot, its base and its delta.
+  if (!left.inserts.empty()) {
+    const std::vector<QueryRequest> probes = DeltaProbes(left.inserts, req);
+    std::vector<size_t> all(probes.size());
+    for (size_t d = 0; d < all.size(); ++d) all[d] = d;
+    std::vector<Result<QueryResult>> found(probes.size(), QueryResult{});
+    SearchSnapshot(right, probes, all, found.data(), nullptr);
+    for (size_t d = 0; d < probes.size(); ++d) {
+      DITA_RETURN_IF_ERROR(found[d].status());
+      const QueryResult& f = *found[d];
+      res.serving.delta_scanned += 1 + f.serving.delta_scanned;
+      res.serving.delta_matches += f.serving.delta_matches + f.ids.size();
+      res.serving.deleted_filtered += f.serving.deleted_filtered;
+      for (const TrajectoryId rid : f.ids) {
+        pairs.emplace_back(left.inserts[d].id(), rid);
+      }
     }
   }
 
-  // Term 3: live left base x right delta. Distance kernels are symmetric
-  // under argument swap (the batch join already relies on this: edge
-  // orientation decides which side ships), so searching the left base with
-  // a right-delta trajectory tests exactly f(left, right) <= tau.
-  if (left.base != nullptr) {
-    for (const Trajectory& t : right.inserts) {
+  // Term 3: live left base x right delta, one batch of the right inserts
+  // against the left base. Distance kernels are symmetric under argument
+  // swap (the batch join already relies on this: edge orientation decides
+  // which side ships), so searching the left base with a right-delta
+  // trajectory tests exactly f(left, right) <= tau.
+  if (left.base != nullptr && !right.inserts.empty()) {
+    const std::vector<Result<QueryResult>> found =
+        left.base->ExecuteBatch(DeltaProbes(right.inserts, req));
+    for (size_t d = 0; d < found.size(); ++d) {
+      DITA_RETURN_IF_ERROR(found[d].status());
       ++res.serving.delta_scanned;
-      QueryRequest probe;
-      probe.kind = QueryKind::kSearch;
-      probe.query = t;
-      probe.tau = req.tau;
-      probe.ctx = req.ctx;
-      probe.collect_stats = false;
-      auto r = left.base->Execute(probe);
-      DITA_RETURN_IF_ERROR(r.status());
-      for (const TrajectoryId lid : r->ids) {
+      for (const TrajectoryId lid : found[d]->ids) {
         if (left.deleted.count(lid) > 0) {
           ++res.serving.deleted_filtered;
           continue;
         }
-        pairs.emplace_back(lid, t.id());
+        pairs.emplace_back(lid, right.inserts[d].id());
         ++res.serving.delta_matches;
       }
     }
   }
   if (split != nullptr) split->delta_done_seconds = NowSeconds();
+  // A stop that fired in a delta term leaves a subset of the full join,
+  // even when the base join itself completed.
+  if (req.ctx != nullptr && res.join_stats.termination.ok()) {
+    res.join_stats.termination = req.ctx->ToStatus();
+  }
 
   std::sort(pairs.begin(), pairs.end());
   res.pairs = std::move(pairs);

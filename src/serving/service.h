@@ -8,6 +8,7 @@
 #include <future>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -152,20 +153,22 @@ class DitaService {
   /// future's job; a non-null req.ctx must outlive the future. With
   /// ServingOptions::max_batch_size > 1, an executor draining the queue
   /// coalesces a FIFO prefix of compatible requests (threshold searches
-  /// without join targets) into one ExecuteBatch call — answers are
-  /// bit-identical to sequential Execute calls on the same snapshot.
+  /// without join targets) into one group, served like ExecuteBatch —
+  /// answers are bit-identical to sequential Execute calls on the same
+  /// snapshot.
   std::future<Result<QueryResult>> Submit(QueryRequest req) const;
 
-  /// Executes several requests as one scheduled unit: ONE fair-share grant
-  /// (summed cost, most-urgent member priority), ONE pinned snapshot, the
-  /// base engine's batched search (shared trie traversal + multi-query
-  /// verify), and ONE delta pass whose per-insert VerifyPrecomp is computed
-  /// once and scored against every member. Results are positional and
-  /// per-member bit-identical to Execute against the same snapshot,
-  /// including stats, serving info, and per-member error statuses.
-  /// Requests that cannot coalesce (joins, kNN) fall back to standalone
-  /// Execute calls with their own grants. A member whose ctx stops loses
-  /// only its own answer.
+  /// Executes several requests as one scheduled unit: the threshold
+  /// searches run through the same lifecycle as Execute with ONE
+  /// fair-share grant (summed cost, most-urgent member priority), ONE
+  /// pinned snapshot, the base engine's batched search (shared trie
+  /// traversal + multi-query verify), and ONE delta pass whose per-insert
+  /// VerifyPrecomp is computed once and scored against every member.
+  /// Results are positional and per-member bit-identical to Execute
+  /// against the same snapshot, including stats, serving info, and
+  /// per-member error statuses. Joins and kNN each run as a group of one
+  /// with their own grant. A member whose ctx stops loses only its own
+  /// answer.
   std::vector<Result<QueryResult>> ExecuteBatch(
       const std::vector<QueryRequest>& reqs) const;
 
@@ -285,14 +288,25 @@ class DitaService {
     double delta_done_seconds = 0.0;  ///< after the delta scan
   };
 
-  /// Query bodies over pinned snapshots. `collect` mirrors
-  /// QueryRequest::collect_stats.
-  Result<QueryResult> SearchSnapshot(const TableSnapshot& snap,
-                                     const QueryRequest& req,
-                                     PhaseSplit* split = nullptr) const;
+  /// Query bodies over pinned snapshots. SearchSnapshot is the one
+  /// threshold-search body, for one request or many: the base engine's
+  /// search over `members` (positions into `reqs` and `out`; validated
+  /// kSearch requests), deleted ids filtered, then one delta pass whose
+  /// per-insert VerifyPrecomp is computed once and scored against every
+  /// member. The join's delta terms run through it too.
+  void SearchSnapshot(const TableSnapshot& snap,
+                      std::span<const QueryRequest> reqs,
+                      std::span<const size_t> members,
+                      Result<QueryResult>* out, PhaseSplit* split) const;
   Result<QueryResult> KnnSnapshot(const TableSnapshot& snap,
                                   const QueryRequest& req,
                                   PhaseSplit* split = nullptr) const;
+  /// Resolves a join request's right side (this service, another service,
+  /// or a bare engine wrapped as a deltaless snapshot) and runs
+  /// JoinSnapshots against it.
+  Result<QueryResult> JoinTargets(const TableSnapshot& snap,
+                                  const QueryRequest& req,
+                                  PhaseSplit* split) const;
   Result<QueryResult> JoinSnapshots(const TableSnapshot& left,
                                     const TableSnapshot& right,
                                     const QueryRequest& req,
@@ -307,19 +321,16 @@ class DitaService {
   /// merge_overlap_seconds.
   double MergeBusyAt(double now) const;
 
-  /// Execute body with an explicit arrival stamp and extra lifecycle flags:
-  /// Execute passes NowSeconds() and 0; the executor pool passes the Submit
-  /// enqueue time plus RequestRecord::kAsync.
-  Result<QueryResult> ExecuteInternal(const QueryRequest& req,
-                                      double arrival_seconds,
-                                      uint8_t extra_flags) const;
-
-  /// ExecuteBatch body with per-member arrival stamps (empty = "arriving
-  /// now") and extra lifecycle flags; members served by the shared batch
-  /// machinery additionally get RequestRecord::kCoalesced.
-  std::vector<Result<QueryResult>> ExecuteBatchInternal(
-      const std::vector<QueryRequest>& reqs,
-      const std::vector<double>& arrivals, uint8_t extra_flags) const;
+  /// The one request lifecycle, for a group of 1..n requests: record
+  /// seeding, validation, cache peel-off, ONE fair-share grant (summed
+  /// cost, most-urgent member priority; a lone request waits under its own
+  /// context), ONE pinned snapshot, the body, and FinishRequest per member.
+  /// A group of several must be all Coalescible(); its members that reach
+  /// the body get RequestRecord::kCoalesced. `arrivals` (null = arriving
+  /// now) and `out` are positional with `reqs`; `extra_flags` are OR-ed
+  /// into every record (RequestRecord::kAsync from the executor pool).
+  void Serve(std::span<const QueryRequest> reqs, const double* arrivals,
+             uint8_t extra_flags, Result<QueryResult>* out) const;
 
   /// Terminal accounting shared by every completion path (normal, cache
   /// hit, shed, error): derives total from `end_seconds`, turns the stashed
@@ -329,13 +340,6 @@ class DitaService {
   /// On entry rec->merge_overlap_seconds must hold MergeBusyAt(arrival).
   void FinishRequest(obs::RequestRecord* rec, double end_seconds,
                      Result<QueryResult>* res) const;
-
-  /// Search ids of `snap` matching (q, tau) — the building block the join
-  /// delta terms reuse. Appends live matching ids (unsorted) to `out`.
-  Status SearchIdsInto(const TableSnapshot& snap, const Trajectory& q,
-                       double tau, QueryContext* ctx,
-                       QueryResult::ServingInfo* acct,
-                       std::vector<TrajectoryId>* out) const;
 
   /// One epoch merge: rebuild the base over (base \ deleted) + inserts,
   /// replay operations that arrived mid-merge, publish epoch+1. Returns

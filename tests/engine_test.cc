@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -71,6 +72,16 @@ TEST(DitaEngineTest, BuildValidatesInput) {
   Dataset with_short;
   with_short.Add(Trajectory(0, {{0, 0}}));
   EXPECT_FALSE(engine.BuildIndex(with_short).ok());
+
+  // A non-finite coordinate would poison the STR tiling sort and the Morton
+  // quantization; it is rejected before anything is built.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Dataset with_bad = CityDataset(20);
+    with_bad.Add(Trajectory(999, {{0.5, 0.5}, {bad, 0.5}, {0.6, 0.6}}));
+    const Status st = engine.BuildIndex(with_bad);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_FALSE(engine.indexed());
+  }
 }
 
 TEST(DitaEngineTest, SearchBeforeBuildFails) {
@@ -337,6 +348,51 @@ TEST(DitaEngineTest, KnnScoringIsAllocationFreeInSteadyState) {
   EXPECT_GT(candidates, 0u);
   EXPECT_EQ(DpScratch::ThreadLocal().reallocations(), before)
       << "kNN scoring grew the DP scratch after warm-up";
+}
+
+TEST(DitaEngineTest, SearchIsAllocationFreeInSteadyState) {
+  // A lone search and an 8-member batch run the same batched body, here on
+  // the calling thread (the default cluster runs stage tasks inline). After
+  // a warm-up pass has grown the grow-once arenas — trie traversal scratch,
+  // per-member candidate / accepted lists, verify lanes — repeating the
+  // same searches must not grow them again.
+  auto cluster = MakeCluster();
+  DitaEngine engine(cluster, SmallConfig());
+  Dataset ds = CityDataset(300, 73);
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  std::vector<QueryRequest> batch;
+  for (const Trajectory& q : ds.SampleQueries(8, 31)) {
+    QueryRequest req;
+    req.kind = QueryKind::kSearch;
+    req.query = q;
+    req.tau = 0.02 * static_cast<double>(1 + batch.size() % 3);
+    batch.push_back(req);
+  }
+  size_t results = 0;
+  auto pass = [&] {
+    for (const QueryRequest& req : batch) {
+      const auto r = engine.Execute(req);
+      ASSERT_TRUE(r.ok());
+      results += r->ids.size();
+    }
+    for (const auto& r : engine.ExecuteBatch(batch)) {
+      ASSERT_TRUE(r.ok());
+      results += r->ids.size();
+    }
+  };
+  pass();
+  const size_t trie_bytes = TrieIndex::Scratch::ThreadLocal().ByteSize();
+  const size_t dp_bytes = DpScratch::ThreadLocal().ByteSize();
+  const uint64_t reallocations = DpScratch::ThreadLocal().reallocations();
+  pass();
+  pass();
+  EXPECT_GT(results, 0u);
+  EXPECT_EQ(TrieIndex::Scratch::ThreadLocal().ByteSize(), trie_bytes)
+      << "search grew the trie scratch after warm-up";
+  EXPECT_EQ(DpScratch::ThreadLocal().reallocations(), reallocations)
+      << "search grew the DP scratch lanes after warm-up";
+  EXPECT_EQ(DpScratch::ThreadLocal().ByteSize(), dp_bytes)
+      << "search grew the per-member candidate / accepted lists after warm-up";
 }
 
 TEST(DitaEngineTest, ParallelVerificationMatchesSerial) {

@@ -10,10 +10,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -165,6 +168,44 @@ TEST_F(ExecuteAliasTest, ExecuteValidatesPerKind) {
   join.tau = 0.02;
   join.join_right_service = reinterpret_cast<const DitaService*>(engine_.get());
   EXPECT_FALSE(engine_->Execute(join).ok());
+
+  // Non-finite inputs are InvalidArgument for every kind, alone and inside
+  // a batch: NaN slips past a `tau < 0` test, and a NaN coordinate would
+  // reach the Morton quantization.
+  const auto expect_invalid = [&](const QueryRequest& bad) {
+    EXPECT_EQ(engine_->Execute(bad).status().code(),
+              Status::Code::kInvalidArgument);
+    const auto batched = engine_->ExecuteBatch({bad, bad});
+    for (const auto& r : batched) {
+      EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+    }
+  };
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    QueryRequest search;
+    search.kind = QueryKind::kSearch;
+    search.query = ds_[0];
+    search.tau = bad;
+    expect_invalid(search);
+    search.tau = 0.05;
+    search.query = Trajectory(0, {{0.1, 0.1}, {bad, 0.2}, {0.3, 0.3}});
+    expect_invalid(search);
+
+    QueryRequest bad_knn;
+    bad_knn.kind = QueryKind::kKnnSearch;
+    bad_knn.query = ds_[0];
+    bad_knn.k = 3;
+    bad_knn.initial_tau = bad;
+    expect_invalid(bad_knn);
+    bad_knn.initial_tau = 0.0;
+    bad_knn.query = Trajectory(0, {{0.1, bad}, {0.2, 0.2}});
+    expect_invalid(bad_knn);
+
+    QueryRequest bad_join;
+    bad_join.kind = QueryKind::kJoin;
+    bad_join.join_right = engine_.get();
+    bad_join.tau = bad;
+    expect_invalid(bad_join);
+  }
 }
 
 TEST_F(ExecuteAliasTest, EstimateQueryCostIsPositive) {
@@ -501,6 +542,33 @@ TEST_F(DitaServiceTest, IngestValidation) {
 
   // Too-short trajectories are rejected with the engine's message.
   EXPECT_FALSE(service.Insert(Trajectory(30000, {Point{0, 0}})).ok());
+
+  // Non-finite coordinates never reach the delta (and so never the STR
+  // sort of the next merge rebuild); non-finite request fields are
+  // rejected at the service's validation point, delta live or not.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_EQ(service.Insert(Trajectory(30001, {{0.1, 0.1}, {0.2, bad}}))
+                  .code(),
+              Status::Code::kInvalidArgument);
+    QueryRequest search;
+    search.kind = QueryKind::kSearch;
+    search.query = ds_[1];
+    search.tau = bad;
+    EXPECT_EQ(service.Execute(search).status().code(),
+              Status::Code::kInvalidArgument);
+    search.tau = 0.05;
+    search.query = Trajectory(0, {{bad, 0.1}, {0.2, 0.2}});
+    EXPECT_EQ(service.Execute(search).status().code(),
+              Status::Code::kInvalidArgument);
+    QueryRequest knn;
+    knn.kind = QueryKind::kKnnSearch;
+    knn.query = ds_[1];
+    knn.k = 2;
+    knn.initial_tau = bad;
+    EXPECT_EQ(service.Execute(knn).status().code(),
+              Status::Code::kInvalidArgument);
+  }
+  EXPECT_EQ(service.live_size(), ds_.size() + 1);
 
   // Deleting a pending insert removes it from the buffer outright.
   ASSERT_TRUE(service.Delete(fresh.id()).ok());
@@ -869,6 +937,124 @@ TEST(ServingOracleTest, CrossServiceJoinMatchesBatchEngines) {
   const std::pair<TrajectoryId, TrajectoryId> planted{left_ds[3].id(), 7001};
   EXPECT_TRUE(std::find(served->pairs.begin(), served->pairs.end(), planted) !=
               served->pairs.end());
+}
+
+/// Service joins under a stop token. Both sides carry inserts and deletes,
+/// so each delta term runs as a real batch of searches: term 2 the left
+/// inserts against the right snapshot, term 3 the right inserts against the
+/// left base. Wherever a cancellation or a candidate budget stops the join,
+/// the answer is a subset of the full join (the batch-engine oracle over
+/// the live sets), tagged as partial; an unconstrained context changes
+/// nothing.
+TEST(ServingCancellationTest, JoinsAreSubsetsUnderStopToken) {
+  auto cluster = MakeCluster();
+  const Dataset left_ds = CityDataset(80, 41);
+  const Dataset right_ds = CityDataset(80, 42);
+  DitaConfig config = SmallConfig();
+  config.serving.synchronous_merge = true;
+  config.serving.merge_threshold = 1000;
+  DitaService left(cluster, config);
+  DitaService right(cluster, config);
+  ASSERT_TRUE(left.Start(left_ds).ok());
+  ASSERT_TRUE(right.Start(right_ds).ok());
+
+  // Twins planted across the sides guarantee matches in every delta term.
+  std::vector<Trajectory> lv, rv;
+  for (const Trajectory& t : left_ds.trajectories()) {
+    if (t.id() != left_ds[1].id()) lv.push_back(t);
+  }
+  for (const Trajectory& t : right_ds.trajectories()) {
+    if (t.id() != right_ds[0].id()) rv.push_back(t);
+  }
+  ASSERT_TRUE(left.Delete(left_ds[1].id()).ok());
+  ASSERT_TRUE(right.Delete(right_ds[0].id()).ok());
+  for (const Trajectory& t :
+       {WithId(right_ds[5], 7002), WithId(right_ds[9], 7003),
+        WithId(left_ds[12], 7004)}) {
+    ASSERT_TRUE(left.Insert(t).ok());
+    lv.push_back(t);
+  }
+  for (const Trajectory& t :
+       {WithId(left_ds[3], 8001), WithId(left_ds[7], 8002),
+        WithId(right_ds[12], 8003)}) {
+    ASSERT_TRUE(right.Insert(t).ok());
+    rv.push_back(t);
+  }
+  DitaEngine lbatch(cluster, SmallConfig());
+  DitaEngine rbatch(cluster, SmallConfig());
+  ASSERT_TRUE(lbatch.BuildIndex(Dataset(lv)).ok());
+  ASSERT_TRUE(rbatch.BuildIndex(Dataset(rv)).ok());
+  const double tau = 0.02;
+
+  struct Case {
+    const char* name;
+    const DitaService* target;
+    std::vector<std::pair<TrajectoryId, TrajectoryId>> oracle;
+  };
+  std::vector<Case> cases;
+  for (const auto& [name, target, r] :
+       {std::tuple{"self-join", &left, &lbatch},
+        std::tuple{"cross join", &right, &rbatch}}) {
+    auto oracle = lbatch.Join(*r, tau);
+    ASSERT_TRUE(oracle.ok());
+    cases.push_back({name, target, Sorted(*oracle)});
+  }
+
+  for (const Case& c : cases) {
+    QueryRequest join;
+    join.kind = QueryKind::kJoin;
+    join.tau = tau;
+    join.join_right_service = c.target;
+    const auto run = [&](QueryContext* ctx) {
+      join.ctx = ctx;
+      auto r = left.Execute(join);
+      EXPECT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+      return r;
+    };
+    {
+      QueryContext ctx;
+      const auto r = run(&ctx);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(Sorted(r->pairs), c.oracle) << c.name;
+      EXPECT_TRUE(r->join_stats.termination.ok()) << c.name;
+      EXPECT_GT(r->serving.delta_matches, 0u) << c.name;
+    }
+    size_t stopped = 0;
+    const auto check_partial = [&](const QueryContext& ctx,
+                                   const Result<QueryResult>& r,
+                                   const std::string& where) {
+      ASSERT_TRUE(r.ok()) << where;
+      const auto got = Sorted(r->pairs);
+      EXPECT_TRUE(std::includes(c.oracle.begin(), c.oracle.end(), got.begin(),
+                                got.end()))
+          << where;
+      if (ctx.stopped()) {
+        ++stopped;
+        EXPECT_FALSE(r->join_stats.termination.ok()) << where;
+        EXPECT_TRUE(r->serving.lifecycle.degraded()) << where;
+      } else {
+        EXPECT_EQ(got, c.oracle) << where;
+      }
+    };
+    for (const uint64_t cancel_at :
+         {1u, 8u, 64u, 256u, 1024u, 4096u, 16384u, 65536u, 262144u}) {
+      QueryContext ctx;
+      ctx.CancelAfterOps(cancel_at);
+      check_partial(ctx, run(&ctx),
+                    std::string(c.name) + " cancel_at=" +
+                        std::to_string(cancel_at));
+    }
+    for (const uint64_t max_candidates : {1u, 16u, 128u, 1024u}) {
+      QueryContext ctx;
+      ResourceBudget budget;
+      budget.max_candidates = max_candidates;
+      ctx.set_budget(budget);
+      check_partial(ctx, run(&ctx),
+                    std::string(c.name) + " max_candidates=" +
+                        std::to_string(max_candidates));
+    }
+    EXPECT_GT(stopped, 0u) << c.name;
+  }
 }
 
 // ------------------------------------------------------------------------
