@@ -50,9 +50,10 @@ run_pass() {
 # naive reference DPs compiled without -march=native, and the kNN/bounded
 # tests pin the bounded DP's returned distances (not just its verdicts).
 # Every threshold search runs the batched body, so the batch-vs-single
-# oracles (the AVX2 batch_scan.h kernels, the candidate-major VerifyMulti
-# sweep) run here too.
-native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|Knn|Bounded|BatchFilter|BatchExecute'
+# oracles (the candidate-major VerifyMulti sweep) run here too, and every
+# trie probe runs the AVX2 batch_scan.h kernels, so the trie-vs-reference
+# oracles (FlatTrie, TrieIndex, TrieFilter) do as well.
+native_filter='Oracle|ThresholdEdge|DpScratch|Dtw|Frechet|Edr|Lcss|Erp|Distance|Verif|EngineSearch|Knn|Bounded|BatchFilter|BatchExecute|FlatTrie|TrieIndex|TrieFilter'
 
 # The TSan pass covers every code path that shares memory across pool
 # threads: the pool itself, parallel index construction and tiling sorts

@@ -716,9 +716,9 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
 
   // Group the (partition, member) probes by partition with one sorted key
   // array, pid << 32 | member: each run of equal pids is ONE task running
-  // the shared trie traversal and the multi-query verify pass over its
-  // members. This is where a batch saves work over standalone stages. Slot
-  // k (outputs, traversal and verify members) belongs to keys[k].
+  // the members' trie probes and the multi-query verify pass over them.
+  // This is where a batch saves work over standalone stages. Slot k
+  // (outputs, traversal and verify members) belongs to keys[k].
   std::vector<uint64_t> keys;
   keys.reserve(num_slots);
   for (size_t m = 0; m < n; ++m) {

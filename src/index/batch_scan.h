@@ -16,8 +16,8 @@
 namespace dita {
 
 /// The suffix-scan primitive behind TrieIndex's pivot-level node tests,
-/// factored out of SuffixMinDist so the batched traversal can run it over
-/// SoA query-point arrays with a vectorized kernel (DESIGN.md §5f).
+/// factored out of SuffixMinDist so CollectCandidates can run it over SoA
+/// query-point arrays with a vectorized kernel (DESIGN.md §5f).
 ///
 /// Semantics (shared by every implementation here, and by the scalar loop
 /// inside TrieIndex::SuffixMinDist):
@@ -28,8 +28,8 @@ namespace dita {
 ///   - the scan may stop early once best_sq == 0 and first_within is set
 ///     (neither output can change after that point).
 ///
-/// Bit-identity with the scalar loop is a hard contract — the batched
-/// traversal must emit exactly the single-query candidate sets:
+/// Bit-identity with the scalar loop is a hard contract — CollectCandidates
+/// must emit exactly the reference traversal's candidate sets:
 ///   - each element's dsq is computed with the same operation sequence
 ///     (sub, max-with-zero, mul, add); the AVX2 body uses explicit
 ///     intrinsics, which the compiler may not contract into FMA, so the
@@ -137,9 +137,9 @@ __attribute__((target("avx2"))) inline SuffixScanResult SuffixScanAvx2(
 #endif  // DITA_BATCH_SCAN_AVX2
 
 /// Sibling-sweep distance kernel: one test rectangle (a query's front/back
-/// point, its current suffix MBR, or a group union rect) against `cnt`
-/// consecutive trie children whose planes live in the SoA arrays
-/// xlo/ylo/xhi/yhi (pass base pointers offset to the first child). Writes
+/// point or its current suffix MBR) against `cnt` consecutive trie children
+/// whose planes live in the SoA arrays xlo/ylo/xhi/yhi (pass base pointers
+/// offset to the first child). Writes
 ///   d_out[i] = sqrt(max(xlo[i]-ax, 0, bx-xhi[i])^2
 ///                 + max(ylo[i]-ay, 0, by-yhi[i])^2).
 /// Point tests pass ax=bx=px (and ay=by=py); rect tests pass the rect's hi

@@ -24,13 +24,12 @@ namespace dita {
 /// are numbered in BFS order so every node's children occupy a contiguous
 /// id range, per-node MBRs live in SoA planes (xlo/ylo/xhi/yhi arrays that
 /// sibling scans walk sequentially), and leaf members are spans into one
-/// global items array laid out in DFS order. CollectCandidates is an
-/// iterative, allocation-free traversal over these arrays; the recursive
+/// global items array laid out in DFS order. CollectCandidates is the one
+/// traversal (DESIGN.md §5f): an iterative, allocation-free depth-first walk
+/// per query over these arrays, with vectorized sibling and suffix scans.
+/// CollectCandidatesBatch runs it once per member. The recursive
 /// formulation is kept as CollectCandidatesReference, the equivalence
-/// oracle for tests. CollectCandidatesBatch (DESIGN.md §5f) walks the same
-/// arrays once for a whole group of queries, sharing sibling MBR loads and
-/// group-level prune tests across the batch while emitting per-query
-/// candidate vectors bit-identical to the single-query path.
+/// oracle for tests.
 class TrieIndex {
  public:
   struct Options {
@@ -108,47 +107,12 @@ class TrieIndex {
     double budget;
   };
 
-  /// One batch member's per-path state, the (budget, suffix_start) pair a
-  /// Frame carries in the single-query traversal. Batch frames store one of
-  /// these per still-alive member, packed in alive-bit rank order inside a
-  /// per-traversal arena.
-  struct QueryState {
-    double budget;
-    uint32_t suffix_start;
-  };
-
-  /// A batched traversal frame: a node that passed for at least one member,
-  /// the bitset of members it passed for, and the offset of their packed
-  /// QueryStates in the traversal's state arena.
-  struct BatchFrame {
-    uint32_t node;
-    uint32_t state_off;
-    uint64_t alive;
-  };
-
-  /// Per-member geometry the fast batched traversal reads in its inner
-  /// loops, resolved once per group: SoA copies of the query points (what
-  /// the vectorized suffix scan consumes), the member's suffix-MBR table,
-  /// and the front/back points the two align levels test. Pointers alias
-  /// the group's Scratch arenas, which do not grow during a traversal.
-  struct MemberRef {
-    const double* xs = nullptr;
-    const double* ys = nullptr;
-    const MBR* smbrs = nullptr;
-    uint32_t n = 0;
-    double fx = 0.0, fy = 0.0;  // query front point
-    double bx = 0.0, by = 0.0;  // query back point
-  };
-
  public:
-  /// Reusable traversal scratch shared by CollectCandidates and
-  /// CollectCandidatesBatch. This replaces the function-local
-  /// `static thread_local` buffers the single-query path used to hide:
-  /// ownership is now explicit, so callers can hold one scratch per worker,
-  /// measure it (ByteSize), and Release() it between bursts instead of
-  /// every thread retaining the high-water mark of its largest query until
-  /// thread exit. Passing nullptr to the traversals falls back to
-  /// ThreadLocal(), preserving the old zero-ceremony behavior.
+  /// Reusable traversal scratch for CollectCandidates. Ownership is
+  /// explicit, so callers can hold one scratch per worker, measure it
+  /// (ByteSize), and Release() it between bursts instead of every thread
+  /// retaining the high-water mark of its largest query until thread exit.
+  /// Passing nullptr to the traversal falls back to ThreadLocal().
   class Scratch {
    public:
     Scratch() = default;
@@ -174,54 +138,24 @@ class TrieIndex {
    private:
     friend class TrieIndex;
 
-    // Single-query traversal: suffix_mbrs[j] covers query points [j, n).
+    // suffix_mbrs[j] covers query points [j, n); qx/qy are the query's
+    // points in SoA form, the vectorized suffix scan's input.
     std::vector<MBR> suffix_mbrs;
-    std::vector<Frame> stack;
-    std::vector<Frame> survivors;
-
-    // Batched traversal. batch_mbrs concatenates every member's suffix-MBR
-    // table (mbr_off indexes it); states is the monotone per-traversal
-    // QueryState arena BatchFrames point into.
-    std::vector<MBR> batch_mbrs;
-    std::vector<MBR> whole_mbrs;  // per member: all points (+ ERP gap)
-    std::vector<BatchFrame> bstack;
-    std::vector<BatchFrame> bsurvivors;
-    std::vector<QueryState> states;
-    std::vector<QueryState> tmp_states;
-    std::vector<QueryState> frame_states;  // dense by member, one frame
-    std::vector<uint32_t> mbr_off;
-    std::vector<uint32_t> order;   // member order, grouped by first point
-    std::vector<uint32_t> visits;  // per member, since last ctx checkpoint
-    // Fast-path lanes: SoA query points (concatenated per member, the
-    // vectorized suffix scan's input) and the resolved per-member geometry.
     std::vector<double> qx;
     std::vector<double> qy;
-    std::vector<MemberRef> refs;
-    std::vector<uint64_t> keys;  // Morton sort keys (index in the low bits)
+    std::vector<Frame> stack;
     std::vector<double> cdist;   // per-sibling distances, one frame at a time
     std::vector<SigBits> dsigs;  // per-member dilated sketches (engine batch)
   };
 
-  /// One member of a batched traversal. All members of one
-  /// CollectCandidatesBatch call must share the spec fields that pick the
-  /// pruning algebra (mode, epsilon, lcss_delta, erp_gap); query, tau, ctx
-  /// and the out/stats sinks are per member. `stats`, when non-null, must be
-  /// Reset(num_levels()) by the caller and receives exactly the counters a
-  /// single-query CollectCandidates call would have produced.
+  /// One member of a CollectCandidatesBatch call: the arguments of one
+  /// CollectCandidates call. `stats`, when non-null, must be
+  /// Reset(num_levels()) by the caller.
   struct BatchQuery {
     SearchSpec spec;
     std::vector<uint32_t>* out = nullptr;
     ProbeStats* stats = nullptr;
   };
-
-  /// Members per shared-traversal group; the alive set is a uint64 bitset,
-  /// so 64 is the ceiling. Larger batches are split into groups of this
-  /// size after the Morton sort. Kept well below the bitset ceiling: the
-  /// group bound only pays while the members' union stays spatially tight,
-  /// and a big group's union rectangle covers so much area that its prune
-  /// tests never fire while their per-frame upkeep still gets paid
-  /// (measured in BENCH_micro_filter's batch sweep).
-  static constexpr size_t kMaxBatchGroup = 8;
 
   /// Minimum build items per pool thread before Build fans work out to the
   /// pool. Below this the chunk dispatch and cross-thread cache traffic
@@ -247,27 +181,19 @@ class TrieIndex {
 
   /// Appends the positions (into trajectories()) of every trajectory that
   /// survives the trie filter. Never drops a true answer (Lemmas 4.3 / 5.1).
-  /// Iterative flat traversal; bit-identical output (content and order) to
-  /// CollectCandidatesReference. With `stats` non-null the traversal also
-  /// tallies visited/pruned nodes and pruned subtree membership per level
-  /// (stats are *added* to, call ProbeStats::Reset first); the stats == null
-  /// hot path costs one predictable branch per tested node. `scratch` may be
-  /// null (the per-thread default is used).
+  /// Iterative flat traversal (DESIGN.md §5f); bit-identical output (content
+  /// and order) to CollectCandidatesReference. With `stats` non-null the
+  /// traversal also tallies visited/pruned nodes and pruned subtree
+  /// membership per level (stats are *added* to, call ProbeStats::Reset
+  /// first); the stats == null hot path costs one predictable branch per
+  /// tested node. `scratch` may be null (the per-thread default is used).
   void CollectCandidates(const SearchSpec& spec, std::vector<uint32_t>* out,
                          ProbeStats* stats = nullptr,
                          Scratch* scratch = nullptr) const;
 
-  /// Collects candidates for a whole group of queries in one traversal
-  /// (DESIGN.md §5f). Members are sorted by their query's first point and
-  /// split into groups of kMaxBatchGroup; each group walks the trie once
-  /// with a per-frame bitset of still-alive members, so sibling MBR planes
-  /// are loaded once per node and a node provably too far from *every*
-  /// alive member is pruned with a single group-level rectangle test.
-  /// Per member, the emitted candidate vector, the ProbeStats counters, and
-  /// the QueryContext charges are exactly those of a standalone
-  /// CollectCandidates call; a member whose ctx stops mid-traversal is
-  /// dropped from the alive sets without perturbing the others (its partial
-  /// output must be discarded by the caller, as in the single-query path).
+  /// Runs CollectCandidates for each of `count` members in turn, sharing
+  /// one scratch. A member whose ctx stops leaves the others untouched (its
+  /// partial output must be discarded by the caller).
   void CollectCandidatesBatch(BatchQuery* queries, size_t count,
                               Scratch* scratch = nullptr) const;
 
@@ -302,26 +228,10 @@ class TrieIndex {
   /// subtree is pruned; otherwise updates *budget / *suffix_start with the
   /// values its children inherit. `suffix_mbrs` points at the query's
   /// suffix-MBR table (suffix_mbrs[j] covers query points [j, n)).
+  /// CollectCandidates runs it for edit-count and ERP probes; the reference
+  /// traversal runs it for every mode.
   bool TestNode(uint32_t n, const SearchSpec& spec, const MBR* suffix_mbrs,
                 double* budget, uint32_t* suffix_start) const;
-
-  /// Runs one group (<= kMaxBatchGroup members, given by `members` indices
-  /// into `queries`) through the shared traversal. Sets up the per-member
-  /// arenas, then dispatches to the specialized traversal for the two modes
-  /// whose node test is a pure rectangle-distance gate (accumulate without
-  /// an ERP gap, and max); edit-count and ERP keep the generic loop.
-  void CollectGroup(BatchQuery* queries, const uint32_t* members,
-                    size_t group_size, Scratch* s) const;
-
-  /// The specialized shared traversal (DESIGN.md §5f): inlined node tests
-  /// over the resolved MemberRef geometry, a vectorized suffix scan at the
-  /// pivot levels, and a per-frame group bound that prunes a child for the
-  /// whole group — or for an individual member, with one compare — before
-  /// any per-member test runs. Emits bit-identical outputs to the generic
-  /// loop (which in turn matches CollectCandidates member for member).
-  void CollectGroupFast(BatchQuery* queries, const uint32_t* members,
-                        size_t group_size, Scratch* s, uint64_t alive0,
-                        bool any_ctx, bool any_stats, bool is_max) const;
 
   void SearchNodeReference(uint32_t n, const SearchSpec& spec,
                            const MBR* suffix_mbrs, double budget,

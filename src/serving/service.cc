@@ -1166,37 +1166,47 @@ Result<QueryResult> DitaService::JoinSnapshots(const TableSnapshot& left,
 // ---------------------------------------------------------------- explain --
 
 void DitaService::RecordExplain(const QueryResult& res) const {
-  std::ostringstream out;
-  const char* kind = res.kind == QueryKind::kSearch
-                         ? "similarity search"
-                         : (res.kind == QueryKind::kJoin ? "trajectory join"
-                                                         : "knn search");
-  out << "== Serving query (" << kind << ") ==\n"
-      << "epoch: " << res.serving.epoch << ", version: " << res.serving.version
-      << "\n";
-  const obs::FilterFunnel& base_funnel = res.kind == QueryKind::kJoin
-                                             ? res.join_stats.funnel
-                                             : res.search_stats.funnel;
-  if (!base_funnel.empty()) out << base_funnel.ToTable();
-  out << "delta: scanned " << res.serving.delta_scanned << ", matched "
-      << res.serving.delta_matches << ", deleted filtered "
-      << res.serving.deleted_filtered << "\n";
-  if (!res.serving.delta_funnel.empty()) {
-    out << res.serving.delta_funnel.ToTable();
-  }
-  const size_t results = res.kind == QueryKind::kSearch
-                             ? res.ids.size()
-                             : (res.kind == QueryKind::kJoin
-                                    ? res.pairs.size()
-                                    : res.neighbors.size());
-  out << "results: " << results << "\n";
+  // Copy-assignment reuses the funnels' level storage, so steady-state
+  // recording allocates nothing; the text is built on demand.
   std::lock_guard<std::mutex> lock(explain_mu_);
-  last_explain_ = out.str();
+  ExplainInputs& e = last_explain_;
+  e.recorded = true;
+  e.kind = res.kind;
+  e.epoch = res.serving.epoch;
+  e.version = res.serving.version;
+  e.base_funnel = res.kind == QueryKind::kJoin ? res.join_stats.funnel
+                                               : res.search_stats.funnel;
+  e.delta_scanned = res.serving.delta_scanned;
+  e.delta_matches = res.serving.delta_matches;
+  e.deleted_filtered = res.serving.deleted_filtered;
+  e.delta_funnel = res.serving.delta_funnel;
+  e.results = res.kind == QueryKind::kSearch
+                  ? res.ids.size()
+                  : (res.kind == QueryKind::kJoin ? res.pairs.size()
+                                                  : res.neighbors.size());
 }
 
 std::string DitaService::ExplainLastQuery() const {
-  std::lock_guard<std::mutex> lock(explain_mu_);
-  return last_explain_;
+  ExplainInputs e;
+  {
+    std::lock_guard<std::mutex> lock(explain_mu_);
+    e = last_explain_;
+  }
+  if (!e.recorded) return "";
+  const char* kind = e.kind == QueryKind::kSearch
+                         ? "similarity search"
+                         : (e.kind == QueryKind::kJoin ? "trajectory join"
+                                                       : "knn search");
+  std::ostringstream out;
+  out << "== Serving query (" << kind << ") ==\n"
+      << "epoch: " << e.epoch << ", version: " << e.version << "\n";
+  if (!e.base_funnel.empty()) out << e.base_funnel.ToTable();
+  out << "delta: scanned " << e.delta_scanned << ", matched "
+      << e.delta_matches << ", deleted filtered " << e.deleted_filtered
+      << "\n";
+  if (!e.delta_funnel.empty()) out << e.delta_funnel.ToTable();
+  out << "results: " << e.results << "\n";
+  return out.str();
 }
 
 // ---------------------------------------------------------- observability --

@@ -400,9 +400,22 @@ class DitaService {
   mutable std::deque<Job> jobs_;
   std::vector<std::thread> executors_;
 
-  /// ExplainLastQuery state.
+  /// ExplainLastQuery inputs, copied in by RecordExplain on every request
+  /// with collect_stats and formatted only when ExplainLastQuery is called.
+  struct ExplainInputs {
+    bool recorded = false;  // false until the first query
+    QueryKind kind = QueryKind::kSearch;
+    uint64_t epoch = 0;
+    uint64_t version = 0;
+    obs::FilterFunnel base_funnel;
+    size_t delta_scanned = 0;
+    size_t delta_matches = 0;
+    size_t deleted_filtered = 0;
+    obs::FilterFunnel delta_funnel;
+    size_t results = 0;
+  };
   mutable std::mutex explain_mu_;
-  mutable std::string last_explain_;
+  mutable ExplainInputs last_explain_;
 
   /// Mutable because the read path (const Execute) looks up and stores.
   mutable AnswerCache answer_cache_;

@@ -32,7 +32,7 @@ TrieIndex::Options SmallOpts() {
   return opts;
 }
 
-/// One pruning algebra; all members of a batch must share these fields.
+/// One pruning algebra: the spec fields besides query and tau.
 struct ModeCase {
   const char* name;
   PruneMode mode;
@@ -77,30 +77,42 @@ bool StatsEqual(const TrieIndex::ProbeStats& a,
          a.pruned_members == b.pruned_members;
 }
 
+/// The funnel identity of an unstopped probe: every trajectory is either
+/// under a pruned subtree or emitted from a surviving leaf.
+uint64_t FunnelTotal(const TrieIndex::ProbeStats& stats, size_t emitted) {
+  uint64_t total = emitted;
+  for (const uint64_t pruned : stats.pruned_members) total += pruned;
+  return total;
+}
+
 /// Oracle: for every pruning algebra and batch shape (including a single
-/// member and mixed taus), the batched traversal must emit per member
-/// exactly the candidate vector and probe counters of a standalone
-/// CollectCandidates call.
+/// member and mixed taus), each member's candidate vector must equal the
+/// recursive reference traversal's in content and order, its probe
+/// counters must equal a standalone CollectCandidates call's, and the
+/// counters must account for the whole population.
 TEST(BatchFilterTest, BatchMatchesSingleAcrossModesAndSizes) {
   Dataset ds = FilterDataset();
   TrieIndex index;
   ASSERT_TRUE(index.Build(ds.trajectories(), SmallOpts()).ok());
   const size_t kQueries = 40;
   std::vector<Trajectory> queries;
-  std::vector<double> taus;
   for (size_t i = 0; i < kQueries; ++i) {
     queries.push_back(ds[(i * 61) % ds.size()]);
   }
 
   for (const ModeCase& mc : AllModes()) {
     SCOPED_TRACE(mc.name);
-    // Standalone answers (the oracle).
-    std::vector<std::vector<uint32_t>> single(kQueries);
+    std::vector<std::vector<uint32_t>> reference(kQueries);
     std::vector<TrieIndex::ProbeStats> single_stats(kQueries);
     for (size_t i = 0; i < kQueries; ++i) {
+      const TrieIndex::SearchSpec spec = SpecFor(queries[i], TauFor(mc, i), mc);
+      index.CollectCandidatesReference(spec, &reference[i]);
+      std::vector<uint32_t> single;
       single_stats[i].Reset(index.num_levels());
-      index.CollectCandidates(SpecFor(queries[i], TauFor(mc, i), mc),
-                              &single[i], &single_stats[i]);
+      index.CollectCandidates(spec, &single, &single_stats[i]);
+      EXPECT_EQ(single, reference[i]) << "query " << i;
+      EXPECT_EQ(FunnelTotal(single_stats[i], single.size()), index.size())
+          << "query " << i;
     }
 
     for (const size_t batch_size : {size_t{1}, size_t{2}, size_t{32},
@@ -119,8 +131,11 @@ TEST(BatchFilterTest, BatchMatchesSingleAcrossModesAndSizes) {
         }
         index.CollectCandidatesBatch(bq.data(), bq.size());
         for (size_t i = lo; i < hi; ++i) {
-          EXPECT_EQ(got[i - lo], single[i]) << "query " << i;
+          EXPECT_EQ(got[i - lo], reference[i]) << "query " << i;
           EXPECT_TRUE(StatsEqual(got_stats[i - lo], single_stats[i]))
+              << "query " << i;
+          EXPECT_EQ(FunnelTotal(got_stats[i - lo], got[i - lo].size()),
+                    index.size())
               << "query " << i;
         }
       }
@@ -193,7 +208,7 @@ TEST(BatchFilterTest, ExplicitScratchMatchesThreadLocalAndReleases) {
   EXPECT_EQ(with_explicit, with_default);
   EXPECT_GT(scratch.ByteSize(), 0u);
 
-  // The same scratch serves the batched traversal, and reuse is idempotent.
+  // The same scratch serves the batch entry point, and reuse is idempotent.
   std::vector<std::vector<uint32_t>> got(3);
   std::vector<TrieIndex::BatchQuery> bq(3);
   for (size_t i = 0; i < 3; ++i) {

@@ -39,13 +39,20 @@ TrieIndex::Options TrieOptions(size_t align_fanout, size_t pivot_fanout,
 }
 
 /// Exercises one (index, spec) pair: the flat traversal must match the
-/// recursive reference exactly, including emission order.
+/// recursive reference exactly, including emission order, and its probe
+/// counters must account for the whole population (every trajectory is
+/// either under a pruned subtree or emitted).
 void ExpectTraversalsAgree(const TrieIndex& index,
                            const TrieIndex::SearchSpec& spec) {
   std::vector<uint32_t> flat, reference;
-  index.CollectCandidates(spec, &flat);
+  TrieIndex::ProbeStats stats;
+  stats.Reset(index.num_levels());
+  index.CollectCandidates(spec, &flat, &stats);
   index.CollectCandidatesReference(spec, &reference);
   EXPECT_EQ(flat, reference);
+  uint64_t total = flat.size();
+  for (const uint64_t pruned : stats.pruned_members) total += pruned;
+  EXPECT_EQ(total, index.size());
 }
 
 TEST(FlatTrieTest, MatchesReferenceAcrossModesAndShapes) {

@@ -375,7 +375,7 @@ TEST(AdmissionGateCostTest, OversizedQueryRunsAloneInsteadOfHanging) {
   EXPECT_EQ(gate.inflight_cost(), 0u);
 }
 
-/// Mixed workload through a live service: one bulk self-join riding with a
+/// Mixed workload through a live service: a bulk self-join riding with a
 /// stream of point searches. The regression this pins down: before cost
 /// accounting, the join's admission was indistinguishable from a search's,
 /// so a burst of joins could occupy every slot and point searches timed
@@ -390,16 +390,15 @@ TEST(AdmissionGateCostTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
   DitaService service(cluster, config);
   ASSERT_TRUE(service.Start(ds).ok());
 
-  std::atomic<size_t> searches_done{0};
+  // Only searches that finish while a join is in flight count: on a loaded
+  // host one join can end before the searcher threads get to run, so the
+  // join repeats (a bounded number of times) until three searches finished
+  // alongside one.
+  constexpr size_t kWantedSearches = 3;
+  constexpr int kMaxJoins = 50;
+  std::atomic<bool> join_in_flight{false};
+  std::atomic<size_t> searches_during_join{0};
   std::atomic<bool> stop_searches{false};
-  std::thread join_thread([&] {
-    QueryRequest req;
-    req.kind = QueryKind::kJoin;
-    req.tau = 0.02;
-    req.priority = 2;  // bulk analytics: smaller share
-    const auto r = service.Execute(req);
-    EXPECT_TRUE(r.ok());
-  });
   std::vector<std::thread> searchers;
   for (int i = 0; i < 3; ++i) {
     searchers.emplace_back([&, i] {
@@ -411,15 +410,27 @@ TEST(AdmissionGateCostTest, ServiceMixedWorkloadKeepsPointSearchesFlowing) {
       while (!stop_searches.load()) {
         const auto r = service.Execute(req);
         EXPECT_TRUE(r.ok());
-        ++searches_done;
+        if (join_in_flight.load()) ++searches_during_join;
       }
     });
   }
-  join_thread.join();
+  int joins = 0;
+  while (searches_during_join.load() < kWantedSearches && joins < kMaxJoins) {
+    QueryRequest req;
+    req.kind = QueryKind::kJoin;
+    req.tau = 0.02;
+    req.priority = 2;  // bulk analytics: smaller share
+    join_in_flight = true;
+    const auto r = service.Execute(req);
+    join_in_flight = false;
+    EXPECT_TRUE(r.ok());
+    ++joins;
+  }
   stop_searches = true;
   for (auto& t : searchers) t.join();
 
-  EXPECT_GE(searches_done.load(), 3u);
+  EXPECT_GE(searches_during_join.load(), kWantedSearches)
+      << "after " << joins << " joins";
   EXPECT_LE(service.scheduler().slots_in_use(), 0u);
   // The join was charged real cost: the pool's high water reflects shared
   // occupancy, and it never exceeded the slot budget (one oversized query
@@ -473,6 +484,60 @@ TEST_F(DitaServiceTest, UnmutatedServiceMatchesBatchEngine) {
   EXPECT_EQ(served->serving.epoch, 0u);
   EXPECT_EQ(served->serving.delta_scanned, 0u);
   EXPECT_NE(service.ExplainLastQuery().find("epoch: 0"), std::string::npos);
+}
+
+/// ExplainLastQuery's full text, pinned for a search and a kNN over a
+/// service with a non-empty delta (inserts and a delete), so any change to
+/// how the explain inputs are recorded or formatted shows up byte for byte.
+TEST_F(DitaServiceTest, ExplainLastQueryPinsFullText) {
+  DitaService service(cluster_, config_);
+  ASSERT_TRUE(service.Start(ds_).ok());
+  EXPECT_EQ(service.ExplainLastQuery(), "");
+  ASSERT_TRUE(service.Insert(WithId(ds_[3], 20000)).ok());
+  ASSERT_TRUE(service.Insert(PoolAt(1)).ok());
+  ASSERT_TRUE(service.Delete(ds_[3].id()).ok());
+
+  QueryRequest search;
+  search.kind = QueryKind::kSearch;
+  search.query = ds_[3];
+  search.tau = 0.05;
+  ASSERT_TRUE(service.Execute(search).ok());
+  EXPECT_EQ(service.ExplainLastQuery(),
+      "== Serving query (similarity search) ==\n"
+      "epoch: 0, version: 3\n"
+      "filter level                  survivors   of total    of prev\n"
+      "table                               160    100.00%    100.00%\n"
+      "global index                         10      6.25%      6.25%\n"
+      "sketch partitions                    10      6.25%    100.00%\n"
+      "trie: first                          10      6.25%    100.00%\n"
+      "trie: last                           10      6.25%    100.00%\n"
+      "trie: pivot 1                        10      6.25%    100.00%\n"
+      "trie: pivot 2                        10      6.25%    100.00%\n"
+      "trie: pivot 3                        10      6.25%    100.00%\n"
+      "candidates                           10      6.25%    100.00%\n"
+      "sketch signature                     10      6.25%    100.00%\n"
+      "mbr coverage                         10      6.25%    100.00%\n"
+      "cell bound                           10      6.25%    100.00%\n"
+      "threshold dp                          6      3.75%     60.00%\n"
+      "delta: scanned 2, matched 1, deleted filtered 1\n"
+      "filter level                  survivors   of total    of prev\n"
+      "delta buffer                          2    100.00%    100.00%\n"
+      "sketch signature                      1     50.00%     50.00%\n"
+      "mbr coverage                          1     50.00%    100.00%\n"
+      "cell bound                            1     50.00%    100.00%\n"
+      "threshold dp                          1     50.00%    100.00%\n"
+      "results: 6\n");
+
+  QueryRequest knn;
+  knn.kind = QueryKind::kKnnSearch;
+  knn.query = ds_[3];
+  knn.k = 3;
+  ASSERT_TRUE(service.Execute(knn).ok());
+  EXPECT_EQ(service.ExplainLastQuery(),
+      "== Serving query (knn search) ==\n"
+      "epoch: 0, version: 3\n"
+      "delta: scanned 2, matched 1, deleted filtered 1\n"
+      "results: 3\n");
 }
 
 TEST_F(DitaServiceTest, InsertIsVisibleToTheNextQueryExactly) {
