@@ -73,6 +73,20 @@ double NsPerCall(Fn&& fn) {
   return timer.Seconds() * 1e9 / static_cast<double>(done);
 }
 
+/// Windows per gated throughput figure. One window on a shared host can
+/// land on a scheduler stall and read several times slow; the median of
+/// five windows cannot unless three of them do.
+constexpr int kMedianWindows = 5;
+
+/// Median over kMedianWindows calls of `measure`, each timing one window.
+template <typename Measure>
+double MedianOfWindows(Measure&& measure) {
+  double v[kMedianWindows];
+  for (double& x : v) x = measure();
+  std::nth_element(v, v + kMedianWindows / 2, v + kMedianWindows);
+  return v[kMedianWindows / 2];
+}
+
 // ---------------------------------------------------------------------------
 // google-benchmark registrations.
 // ---------------------------------------------------------------------------
@@ -202,11 +216,13 @@ void WriteFilterJson(const char* path) {
   }
   json += "  },\n";
 
-  // --- Trie candidate-collection throughput, queries/sec (headline). ---
-  double single_qps = 0.0;
+  // --- Trie candidate-collection throughput, queries/sec (headline). The
+  // gated throughputs (this one, the batch sweep and their ratio) are
+  // medians over kMedianWindows windows. ---
   {
-    const double ns = collect_ns(PruneMode::kAccumulate, 0.01, 0.0);
-    single_qps = 1e9 / ns;
+    const double ns = MedianOfWindows(
+        [&] { return collect_ns(PruneMode::kAccumulate, 0.01, 0.0); });
+    const double single_qps = 1e9 / ns;
     std::snprintf(buf, sizeof(buf),
                   "  \"trie_collect_queries_per_sec\": %.0f,\n", single_qps);
     json += buf;
@@ -242,10 +258,8 @@ void WriteFilterJson(const char* path) {
     };
     json += "  \"trie_collect_batch_queries_per_sec\": {";
     const size_t sizes[] = {1, 2, 8, 32, 64};
-    double qps32 = 0.0;
     for (size_t i = 0; i < 5; ++i) {
-      const double qps = batch_qps(sizes[i]);
-      if (sizes[i] == 32) qps32 = qps;
+      const double qps = MedianOfWindows([&] { return batch_qps(sizes[i]); });
       std::snprintf(buf, sizeof(buf), "\"batch_%zu\": %.0f%s", sizes[i], qps,
                     i + 1 < 5 ? ", " : "");
       json += buf;
@@ -253,11 +267,17 @@ void WriteFilterJson(const char* path) {
                   sizes[i], qps);
     }
     json += "},\n";
+    // Each ratio pairs a batch_32 window with a single-query window run
+    // just before it, so a host slowdown spanning both cancels out.
+    const double speedup = MedianOfWindows([&] {
+      const double single_ns = collect_ns(PruneMode::kAccumulate, 0.01, 0.0);
+      return batch_qps(32) * single_ns * 1e-9;
+    });
     std::snprintf(buf, sizeof(buf), "  \"speedup_batch_32\": %.2f,\n",
-                  qps32 / single_qps);
+                  speedup);
     json += buf;
     std::printf("batch=32 speedup over single-query path %11.2fx\n",
-                qps32 / single_qps);
+                speedup);
   }
 
   // --- Global R-tree probe, ns/query. ---

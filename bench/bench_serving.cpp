@@ -433,8 +433,9 @@ RunResult Run(const bench::Args& args) {
 
     std::vector<Trajectory> live = base.trajectories();
     const auto snap = service.Pin();
-    for (const Trajectory& t : *snap->base_data) {
-      if (t.id() >= 50000) live.push_back(t);
+    for (size_t i = 0; i < far.size(); ++i) {
+      const TrajectoryId id(50000 + i);
+      if (snap->IsLive(id)) live.emplace_back(id, far[i].points());
     }
     DitaEngine batch(cluster, bench::DefaultConfig());
     DITA_CHECK(batch.BuildIndex(Dataset(live)).ok());

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "core/join_planner.h"
 #include "distance/dp_scratch.h"
@@ -154,12 +157,14 @@ uint64_t DitaEngine::EstimateQueryCost(const QueryRequest& req) const {
     case QueryKind::kKnnSearch: {
       if (req.query.size() < 2) return 1;
       // Relevant-partition count is the unit the cluster actually pays per
-      // probe stage; +1 covers the driver work every query does.
-      double tau = req.kind == QueryKind::kSearch ? req.tau : req.initial_tau;
-      if (req.kind == QueryKind::kKnnSearch && tau <= 0.0) {
-        const MBR qmbr = req.query.ComputeMBR();
-        tau = std::max(1e-9, 0.01 * PointDistance(qmbr.lo(), qmbr.hi()));
-      }
+      // probe stage; +1 covers the driver work every query does. A kNN
+      // pass's radius is known only once its seeds are scored, so it is
+      // charged the partitions a zero-radius search would probe: those
+      // that can hold an exact match, which the pass visits first. That
+      // under-counts the partitions it may visit, but charging all of them
+      // would hold half the scheduler's slots per kNN and queue point
+      // searches behind it.
+      const double tau = req.kind == QueryKind::kSearch ? req.tau : 0.0;
       const Point* erp_gap = config_.distance == DistanceType::kERP
                                  ? &config_.distance_params.erp_gap
                                  : nullptr;
@@ -253,8 +258,7 @@ Result<QueryResult> DitaEngine::Execute(const QueryRequest& req) const {
       double admission_wait = 0.0;
       DITA_RETURN_IF_ERROR(AdmitQuery(req.kind, req.ctx, GateCost(req), &ticket,
                                       &admission_wait));
-      auto r =
-          KnnSearchImpl(req.query, req.k, req.initial_tau, qstats, req.ctx);
+      auto r = KnnSearchImpl(req.query, req.k, qstats, req.ctx);
       DITA_RETURN_IF_ERROR(r.status());
       if (qstats != nullptr) qstats->admission_wait_seconds = admission_wait;
       res.neighbors = std::move(*r);
@@ -871,148 +875,214 @@ void DitaEngine::SearchBatchImpl(std::span<const QueryRequest> reqs,
 }
 
 Result<std::vector<std::pair<TrajectoryId, double>>> DitaEngine::KnnSearchImpl(
-    const Trajectory& q, size_t k, double initial_tau,
-    QueryStats* stats, QueryContext* ctx) const {
+    const Trajectory& q, size_t k, QueryStats* stats, QueryContext* ctx,
+    const std::unordered_set<TrajectoryId>* excluded,
+    size_t* excluded_seen) const {
+  using Neighbor = std::pair<TrajectoryId, double>;
+  const auto rank_less = [](const Neighbor& a, const Neighbor& b) {
+    return KnnRankLess(a, b);
+  };
+  const auto is_excluded = [excluded](TrajectoryId id) {
+    return excluded != nullptr && excluded->count(id) > 0;
+  };
   const Cluster::CostSnapshot snap = cluster_->Snapshot();
   obs::SpanGuard knn_span(tracer_, "knn.query");
   knn_span.Arg("k", k);
-  const VerifyPrecomp qp = verifier_->Precompute(q);
+  CpuTimer driver_timer;
 
-  // Seed the expansion with a data-derived radius: the spread of the query
-  // itself is a reasonable unit of distance for its neighbourhood.
-  double tau = initial_tau;
-  if (tau <= 0.0) {
-    const MBR qmbr = q.ComputeMBR();
-    tau = std::max(1e-9, 0.01 * PointDistance(qmbr.lo(), qmbr.hi()));
+  // Every partition's lower bound on its members' distances to q, from the
+  // global index's endpoint MBRs. A DTW warping path matches first points
+  // to first and last to last in two distinct cells, so the two MBR
+  // distances add up; under Frechet each is a term of the max. Edit
+  // distances and ERP may edit or gap-match an endpoint away: their bound
+  // is 0, and the endpoint sum only orders the visit.
+  struct Ranked {
+    double lb;
+    double order;
+    uint32_t pid;
+  };
+  std::vector<Ranked> ranked(partitions_.size());
+  for (uint32_t pid = 0; pid < partitions_.size(); ++pid) {
+    const GlobalIndex::PartitionSummary& s = global_.summary(pid);
+    const double df = s.mbr_first.MinDist(q.front());
+    const double dl = s.mbr_last.MinDist(q.back());
+    double lb = 0.0;
+    if (config_.distance == DistanceType::kDTW) lb = df + dl;
+    if (config_.distance == DistanceType::kFrechet) lb = std::max(df, dl);
+    ranked[pid] = Ranked{lb, df + dl, pid};
   }
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    return std::tie(a.lb, a.order, a.pid) < std::tie(b.lb, b.order, b.pid);
+  });
 
-  // Iterative threshold expansion: collect candidates at radius tau, keep
-  // exact distances, and stop once k answers lie within tau (then no
-  // trajectory outside radius tau can belong to the kNN set, because every
-  // result within tau beats it). Only candidates within tau can enter a
-  // round, so each is scored with the distance bounded at tau: the exact
-  // value when it is within, +inf otherwise — and a candidate far outside
-  // tau is rejected by the kernel's anchor bound or window after O(1) or a
-  // few rows instead of paying the full O(mn) DP. Nothing is carried across
-  // rounds: with rejections this cheap a per-query cache of exact distances
-  // has little left to save, and a query leaves no state behind.
-  std::vector<std::pair<TrajectoryId, double>> scored;
-  // Snapshot of `scored` after the most recent *fully completed* round. A
-  // complete round at radius tau enumerated every trajectory within tau, so
-  // its answers — sorted by distance — are a true prefix of the kNN set
-  // even when fewer than k were found. A round cut short mid-flight proves
-  // nothing of the sort, so a stopped query falls back to this snapshot.
-  std::vector<std::pair<TrajectoryId, double>> last_complete;
-  bool stopped_early = false;
-  size_t total_candidates = 0;
-  size_t probed = 0;
-  const bool sketch = SketchActive();
-  for (int round = 0; round < 64; ++round) {
-    scored.clear();
-    // Sketch tier, re-dilated each round (the dilation radius is the
-    // round's tau). Per candidate the subset test skips the exact-distance
-    // computation — a skipped candidate provably has distance > tau, so it
-    // cannot enter `scored`.
-    CpuTimer driver_timer;
-    SigBits dilated;
-    if (sketch) dilated = DilatedQuerySig(q, tau);
-    const std::vector<uint32_t> relevant =
-        ProbePartitions(q, tau, sketch ? &dilated : nullptr, nullptr);
-    cluster_->RecordDriverCompute(driver_timer.Seconds());
-
-    struct RoundOut {
-      std::vector<std::pair<TrajectoryId, double>> scored;
-      size_t candidates = 0;
-      bool complete = false;
-    };
-    std::vector<RoundOut> outs(relevant.size());
-    std::vector<Cluster::Task> tasks;
-    tasks.reserve(relevant.size());
-    for (size_t idx = 0; idx < relevant.size(); ++idx) {
-      const uint32_t pid = relevant[idx];
-      const Partition* part = &partitions_[pid];
-      RoundOut* out = &outs[idx];
-      tasks.push_back({part->home_worker,
-                       [&, part, out] {
-        TrieIndex::SearchSpec spec = MakeSpec(q, tau);
-        spec.ctx = ctx;
-        DpScratch& scratch = DpScratch::ThreadLocal();
-        std::vector<uint32_t>& candidates = scratch.Candidates();
-        candidates.clear();
-        part->trie.CollectCandidates(spec, &candidates);
-        const TrajView qv = scratch.ExtractB(q);
-        for (uint32_t pos : candidates) {
-          if (ctx != nullptr && ctx->stopped()) break;
-          if (sketch && !part->precomp[pos].sig.bits.Empty() &&
-              !part->precomp[pos].sig.bits.SubsetOf(dilated)) {
-            continue;
-          }
-          // Exact distance needed for ranking, but only within tau.
-          const double d = distance_->ComputeBounded(
-              part->precomp[pos].soa.view(), qv, tau, &scratch);
-          if (d <= tau) {
-            out->scored.emplace_back(part->trie.trajectory(pos).id(), d);
-          }
-        }
-        out->candidates = candidates.size();
-        out->complete = ctx == nullptr || !ctx->stopped();
-        return Status::OK();
-                       },
-                       part->data_bytes});
-    }
-    probed += relevant.size();
-    std::vector<uint8_t> kept;
-    const Status stage = cluster_->RunStage(
-        std::move(tasks), StageOpts("knn-search", ctx), &kept);
-    if (ctx != nullptr) {
-      ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
-    }
-    if (!stage.ok() && !ShouldDegrade(ctx, stage)) return stage;
-    bool round_complete = stage.ok();
-    for (size_t idx = 0; idx < relevant.size(); ++idx) {
-      if ((!kept.empty() && !kept[idx]) || !outs[idx].complete) {
-        round_complete = false;
-        continue;
+  // Seed bound U: the exact distances of the k members whose first and
+  // last points lie nearest the query's, from the best-ranked partitions.
+  // Any k real distances bound the k-th nearest from above, under every
+  // metric. The seeds fill the heap (a max-heap under KnnRankLess), so it
+  // is full from the start and its top is the running bound.
+  std::vector<Neighbor> heap;
+  std::mutex heap_mu;  // guards `heap` while the stage's tasks run
+  heap.reserve(k);
+  {
+    DpScratch& scratch = DpScratch::ThreadLocal();
+    const TrajView qv = scratch.ExtractB(q);
+    std::vector<std::pair<double, uint32_t>> nearest;  // (endpoint sum, pos)
+    for (const Ranked& r : ranked) {
+      if (heap.size() == k) break;
+      const Partition& part = partitions_[r.pid];
+      nearest.clear();
+      for (uint32_t pos = 0; pos < part.trie.size(); ++pos) {
+        const Trajectory& t = part.trie.trajectory(pos);
+        if (is_excluded(t.id())) continue;
+        nearest.emplace_back(PointDistance(t.front(), q.front()) +
+                                 PointDistance(t.back(), q.back()),
+                             pos);
       }
-      total_candidates += outs[idx].candidates;
-      scored.insert(scored.end(), outs[idx].scored.begin(),
-                    outs[idx].scored.end());
+      const size_t take = std::min(nearest.size(), k - heap.size());
+      std::partial_sort(nearest.begin(), nearest.begin() + take,
+                        nearest.end());
+      for (size_t i = 0; i < take; ++i) {
+        const uint32_t pos = nearest[i].second;
+        heap.emplace_back(
+            part.trie.trajectory(pos).id(),
+            distance_->Compute(part.precomp[pos].soa.view(), qv, &scratch));
+      }
     }
-    // Snapshot before checking for a stop: a stop that fired *after* the
-    // whole round ran (e.g. the virtual deadline observed above) still
-    // leaves a fully enumerated round to fall back on.
-    if (round_complete) last_complete = scored;
-    if (ctx != nullptr && ctx->stopped()) {
-      stopped_early = true;
-      break;
-    }
-    if (round_complete && scored.size() >= k) break;
-    tau *= 2.0;
   }
-  if (stopped_early) {
+  DITA_CHECK(heap.size() == k);
+  std::make_heap(heap.begin(), heap.end(), rank_less);
+  const double seed_bound = heap.front().second;
+
+  // One probe at U: no member of an irrelevant (or sketch-pruned) partition
+  // lies within U. The sketch is dilated once, at U, which covers every
+  // tighter bound the pass reaches.
+  const bool sketch = SketchActive();
+  SigBits dilated;
+  if (sketch) dilated = DilatedQuerySig(q, seed_bound);
+  std::vector<uint8_t> relevant(partitions_.size(), 0);
+  for (const uint32_t pid :
+       ProbePartitions(q, seed_bound, sketch ? &dilated : nullptr, nullptr)) {
+    relevant[pid] = 1;
+  }
+  std::erase_if(ranked, [&](const Ranked& r) { return !relevant[r.pid]; });
+  cluster_->RecordDriverCompute(driver_timer.Seconds());
+
+  // One stage visits the relevant partitions in ascending lower-bound
+  // order. The tasks share the heap; the bound (its top distance) only
+  // shrinks, so each later partition collects and scores at a tighter one.
+  std::atomic<double> bound{seed_bound};
+  const auto offer = [&](TrajectoryId id, double d) {
+    std::lock_guard<std::mutex> lock(heap_mu);
+    if (!KnnRankLess(d, id, heap.front().second, heap.front().first)) return;
+    for (const Neighbor& e : heap) {
+      if (e.first == id) return;  // a seed, met again in its partition
+    }
+    std::pop_heap(heap.begin(), heap.end(), rank_less);
+    heap.back() = Neighbor{id, d};
+    std::push_heap(heap.begin(), heap.end(), rank_less);
+    bound.store(heap.front().second);
+  };
+  struct PartOut {
+    size_t candidates = 0;
+    size_t excluded = 0;
+    /// Every member that could rank was offered: false when a stop cut the
+    /// task short.
+    bool finished = false;
+  };
+  std::vector<PartOut> outs(ranked.size());
+  std::vector<Cluster::Task> tasks;
+  tasks.reserve(ranked.size());
+  for (size_t idx = 0; idx < ranked.size(); ++idx) {
+    const Partition* part = &partitions_[ranked[idx].pid];
+    const double lb = ranked[idx].lb;
+    PartOut* out = &outs[idx];
+    tasks.push_back({part->home_worker,
+                     [&, part, lb, out] {
+      // The heap is full: no member of a partition whose lower bound
+      // exceeds its top can rank.
+      double tau = bound.load();
+      if (lb > tau) {
+        out->finished = true;
+        return Status::OK();
+      }
+      TrieIndex::SearchSpec spec = MakeSpec(q, tau);
+      spec.ctx = ctx;
+      DpScratch& scratch = DpScratch::ThreadLocal();
+      std::vector<uint32_t>& candidates = scratch.Candidates();
+      candidates.clear();
+      part->trie.CollectCandidates(spec, &candidates);
+      const TrajView qv = scratch.ExtractB(q);
+      for (const uint32_t pos : candidates) {
+        if (ctx != nullptr && ctx->stopped()) break;
+        const TrajectoryId id = part->trie.trajectory(pos).id();
+        if (is_excluded(id)) {
+          ++out->excluded;
+          continue;
+        }
+        // A candidate outside the U-dilated sketch lies farther than U.
+        if (sketch && !part->precomp[pos].sig.bits.Empty() &&
+            !part->precomp[pos].sig.bits.SubsetOf(dilated)) {
+          continue;
+        }
+        // d <= bound keeps a tie with the top: it still competes on id.
+        tau = bound.load();
+        const double d = distance_->ComputeBounded(
+            part->precomp[pos].soa.view(), qv, tau, &scratch);
+        if (d <= tau) offer(id, d);
+      }
+      out->candidates = candidates.size();
+      out->finished = ctx == nullptr || !ctx->stopped();
+      return Status::OK();
+                     },
+                     part->data_bytes});
+  }
+  std::vector<uint8_t> kept;
+  const Status stage = cluster_->RunStage(std::move(tasks),
+                                          StageOpts("knn-search", ctx), &kept);
+  if (ctx != nullptr) {
+    ctx->ObserveVirtualSeconds(cluster_->MakespanSince(snap));
+  }
+  if (!stage.ok() && !ShouldDegrade(ctx, stage)) return stage;
+
+  // A partition the pass did not finish may still hold members down to its
+  // lower bound, so only heap entries strictly below the smallest such
+  // bound are proven: they form a prefix of the kNN answer. A complete pass
+  // finished everything and keeps the whole heap.
+  double cutoff = std::numeric_limits<double>::infinity();
+  size_t total_candidates = 0;
+  size_t seen = 0;
+  for (size_t idx = 0; idx < ranked.size(); ++idx) {
+    if ((!kept.empty() && !kept[idx]) || !outs[idx].finished) {
+      cutoff = std::min(cutoff, ranked[idx].lb);
+      continue;
+    }
+    total_candidates += outs[idx].candidates;
+    seen += outs[idx].excluded;
+  }
+  std::vector<Neighbor> result;
+  result.reserve(k);
+  for (const Neighbor& e : heap) {
+    if (e.second < cutoff) result.push_back(e);
+  }
+  std::sort(result.begin(), result.end(), rank_less);
+  if (ctx != nullptr && ctx->stopped()) {
     m_query_degraded_.Increment();
     if (tracer_ != nullptr) tracer_->Instant("query.degraded");
-    scored = std::move(last_complete);
-  } else if (scored.size() < k) {
-    return Status::Internal("kNN expansion failed to find k results");
   }
-
-  std::sort(scored.begin(), scored.end(),
-            [](const auto& a, const auto& b) { return KnnRankLess(a, b); });
-  if (scored.size() > k) scored.resize(k);
+  if (excluded_seen != nullptr) *excluded_seen = seen;
+  knn_span.Arg("partitions_probed", ranked.size());
+  knn_span.Arg("candidates", total_candidates);
   if (stats != nullptr) {
     stats->makespan_seconds = cluster_->MakespanSince(snap);
-    stats->partitions_probed = probed;
+    stats->partitions_probed = ranked.size();
     stats->candidates = total_candidates;
-    stats->results = scored.size();
+    stats->results = result.size();
     stats->faults = cluster_->FaultsSince(snap);
     stats->termination = ctx != nullptr ? ctx->ToStatus() : Status::OK();
     stats->completeness =
-        stopped_early ? static_cast<double>(scored.size()) /
-                            static_cast<double>(k)
-                      : 1.0;
+        static_cast<double>(result.size()) / static_cast<double>(k);
   }
-  return scored;
+  return result;
 }
 
 Result<std::vector<DitaEngine::KnnJoinRow>> DitaEngine::KnnJoin(
@@ -1028,18 +1098,12 @@ Result<std::vector<DitaEngine::KnnJoinRow>> DitaEngine::KnnJoin(
     return Status::InvalidArgument("k exceeds the right table cardinality");
   }
 
-  // Per-left-trajectory threshold expansion against the right index. Left
-  // trajectories are visited partition by partition, reusing each query's
-  // previous radius as the seed for its partition neighbours (similar trips
-  // colocate, so radii are strongly correlated).
+  // One kNN pass per left trajectory against the right index.
   std::vector<KnnJoinRow> rows;
   for (const Partition& part : partitions_) {
-    double seed_tau = 0.0;
-    for (uint32_t pos = 0; pos < part.trie.size(); ++pos) {
-      const Trajectory& t = part.trie.trajectory(pos);
-      auto knn = right.KnnSearch(t, k, seed_tau);
+    for (const Trajectory& t : part.trie.trajectories()) {
+      auto knn = right.KnnSearch(t, k);
       DITA_RETURN_IF_ERROR(knn.status());
-      if (!knn->empty()) seed_tau = knn->back().second;
       for (const auto& [id, d] : *knn) {
         rows.push_back(KnnJoinRow{t.id(), id, d});
       }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -112,8 +113,9 @@ struct QueryRequest {
   /// Similarity threshold tau (kSearch / kJoin).
   double tau = 0.0;
 
-  /// Neighbor count (kKnnSearch) and optional expansion seed radius
-  /// (0 picks a data-derived default).
+  /// Neighbor count (kKnnSearch). `initial_tau` is ignored: the kNN pass
+  /// seeds its own bound (DitaEngine::KnnSearch). It is kept, and still
+  /// rejected when non-finite, only for source compatibility.
   size_t k = 0;
   double initial_tau = 0.0;
 
@@ -246,7 +248,8 @@ class DitaEngine {
   }
 
   /// Estimated cost of `req` in admission units (relevant-partition probes
-  /// for searches, partition-pair upper bound for joins; always >= 1).
+  /// for searches, at radius 0 for kNN; partition-pair upper bound for
+  /// joins; always >= 1).
   /// Drives the admission gate's cost budget and DitaService's fair-share
   /// slot allocation when QueryRequest::cost_hint is 0.
   uint64_t EstimateQueryCost(const QueryRequest& req) const;
@@ -277,14 +280,17 @@ class DitaEngine {
 
   /// kNN similarity search (the paper's §8 future work): the k trajectories
   /// closest to `q` under the engine's distance, as (id, distance) pairs
-  /// in KnnRankLess order. Implemented by iterative threshold expansion over
-  /// the threshold search machinery: double tau until at least k verified
-  /// answers exist; each round scores candidates with the distance bounded
-  /// at that round's tau (ComputeBounded). Exact for
-  /// kAccumulate/kMax distances; `initial_tau` seeds the expansion (0 picks
-  /// a data-derived default). `ctx` behaves as in Search; a stopped kNN
-  /// query returns the last fully-completed expansion round's answers
-  /// (each one a true member of the kNN set), possibly fewer than k.
+  /// in KnnRankLess order, exact for every distance function. One pass
+  /// (DESIGN.md §4b): k exact distances from the partition whose endpoint
+  /// MBRs lie nearest the query seed a bound U; one global-index probe at U
+  /// picks the partitions, which one cluster stage visits in ascending
+  /// lower-bound order while the tasks share a size-k heap whose top only
+  /// shrinks, so later partitions collect and score at a tighter bound.
+  /// `initial_tau` is ignored (kept for source compatibility; it must still
+  /// be finite). `ctx` behaves as in Search; a stopped kNN query returns
+  /// the heap entries strictly closer than the lower bound of every
+  /// partition it did not finish — a proven prefix of the kNN answer,
+  /// possibly shorter than k, with completeness = size / k.
   Result<std::vector<std::pair<TrajectoryId, double>>> KnnSearch(
       const Trajectory& q, size_t k, double initial_tau = 0.0,
       QueryStats* stats = nullptr, QueryContext* ctx = nullptr) const;
@@ -300,9 +306,9 @@ class DitaEngine {
   };
 
   /// kNN similarity join (§8 future work): for every trajectory of this
-  /// table, its k nearest trajectories in `right`, via per-trajectory
-  /// threshold expansion against the right table's index. Rows are grouped
-  /// by left id (ascending), each group in KnnRankLess order.
+  /// table, its k nearest trajectories in `right`, via one KnnSearch per
+  /// left trajectory against the right table's index. Rows are grouped by
+  /// left id (ascending), each group in KnnRankLess order.
   Result<std::vector<KnnJoinRow>> KnnJoin(const DitaEngine& right,
                                           size_t k) const;
 
@@ -364,9 +370,15 @@ class DitaEngine {
   Result<std::vector<std::pair<TrajectoryId, TrajectoryId>>> JoinImpl(
       const DitaEngine& right, double tau, JoinStats* stats,
       QueryContext* ctx) const;
+  /// The one kNN pass (see KnnSearch). Ids in `excluded` (may be null)
+  /// never enter the answer — DitaService hands in its snapshot's deleted
+  /// set — and `*excluded_seen` (may be null) receives how many of them the
+  /// pass met among the finished partitions' candidates. Requires k >= 1
+  /// and at least k trajectories outside `excluded`.
   Result<std::vector<std::pair<TrajectoryId, double>>> KnnSearchImpl(
-      const Trajectory& q, size_t k, double initial_tau, QueryStats* stats,
-      QueryContext* ctx) const;
+      const Trajectory& q, size_t k, QueryStats* stats, QueryContext* ctx,
+      const std::unordered_set<TrajectoryId>* excluded = nullptr,
+      size_t* excluded_seen = nullptr) const;
 
   TrieIndex::SearchSpec MakeSpec(const Trajectory& q, double tau) const;
 

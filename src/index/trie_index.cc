@@ -77,13 +77,15 @@ Status TrieIndex::Build(std::vector<Trajectory> trajectories,
 
   // Indexing-sequence extraction is independent per trajectory; chunk it
   // across the pool. Every chunk writes only its own slots, so the result
-  // is position-for-position identical to the serial loop.
-  sequences_.assign(trajectories_.size(), IndexingSequence{});
+  // is position-for-position identical to the serial loop. The sequences
+  // only shape the build (node MBRs, source ranges, chargeable masks) and
+  // are freed with this frame.
+  std::vector<IndexingSequence> sequences(trajectories_.size());
   off += ThreadPool::ParallelFor(
       build_pool, trajectories_.size(), /*min_parallel=*/256,
-      [this](size_t lo, size_t hi) {
+      [this, &sequences](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-          sequences_[i] = BuildIndexingSequence(
+          sequences[i] = BuildIndexingSequence(
               trajectories_[i], options_.num_pivots, options_.strategy);
         }
       });
@@ -147,7 +149,7 @@ Status TrieIndex::Build(std::vector<Trajectory> trajectories,
     const size_t fanout =
         child_level < 2 ? options_.align_fanout : options_.pivot_fanout;
     auto level_point = [&](uint32_t traj_pos) -> Point {
-      return sequences_[traj_pos].points[static_cast<size_t>(child_level)];
+      return sequences[traj_pos].points[static_cast<size_t>(child_level)];
     };
 
     auto groups =
@@ -166,10 +168,10 @@ Status TrieIndex::Build(std::vector<Trajectory> trajectories,
         xhi_[child] = std::max(xhi_[child], p.x);
         yhi_[child] = std::max(yhi_[child], p.y);
         const uint32_t src = static_cast<uint32_t>(
-            sequences_[pos].source_indices[static_cast<size_t>(child_level)]);
+            sequences[pos].source_indices[static_cast<size_t>(child_level)]);
         lo = std::min(lo, src);
         hi = std::max(hi, src);
-        if (!sequences_[pos].chargeable[static_cast<size_t>(child_level)]) {
+        if (!sequences[pos].chargeable[static_cast<size_t>(child_level)]) {
           chargeable_[child] = 0;
         }
       }
@@ -514,17 +516,11 @@ void TrieIndex::SearchNodeReference(uint32_t n, const SearchSpec& spec,
 
 size_t TrieIndex::ByteSize() const {
   const size_t n = level_.size();
-  size_t bytes = 4 * n * sizeof(double)       // xlo/ylo/xhi/yhi planes
-                 + n * sizeof(int32_t)        // level
-                 + 6 * n * sizeof(uint32_t)   // child/items spans, src range
-                 + n * sizeof(uint8_t)        // chargeable mask
-                 + items_.size() * sizeof(uint32_t);
-  for (const IndexingSequence& s : sequences_) {
-    bytes += s.points.size() * sizeof(Point) +
-             s.source_indices.size() * sizeof(size_t) +
-             (s.chargeable.size() + 7) / 8;  // packed bitmask
-  }
-  return bytes;
+  return 4 * n * sizeof(double)       // xlo/ylo/xhi/yhi planes
+         + n * sizeof(int32_t)        // level
+         + 6 * n * sizeof(uint32_t)   // child/items spans, src range
+         + n * sizeof(uint8_t)        // chargeable mask
+         + items_.size() * sizeof(uint32_t);
 }
 
 uint64_t TrieIndex::StructureDigest() const {

@@ -246,7 +246,6 @@ class TrieIndex {
 
   Options options_;
   std::vector<Trajectory> trajectories_;
-  std::vector<IndexingSequence> sequences_;  // parallel to trajectories_
 
   // --- Flat node arrays, BFS numbering (children contiguous). ---
   /// Per-node MBR planes. The root (node 0, level -1) stores an empty

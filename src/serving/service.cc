@@ -69,7 +69,6 @@ AnswerCache::Key AnswerCache::KeyFor(const QueryRequest& req) {
   fold(static_cast<uint64_t>(req.kind));
   fold(DoubleBits(req.tau));
   fold(req.k);
-  fold(DoubleBits(req.initial_tau));
   fold(req.collect_stats ? 1 : 0);
   fold(req.query.size());
   for (const Point& p : req.query.points()) {
@@ -201,19 +200,17 @@ Status DitaService::Start(const Dataset& initial) {
 
   auto snap = std::make_shared<TableSnapshot>();
   auto ids = std::make_shared<std::unordered_set<TrajectoryId>>();
-  auto data = std::make_shared<std::vector<Trajectory>>(initial.trajectories());
   // BuildIndex validates the trajectories themselves.
-  for (const Trajectory& t : *data) {
+  for (const Trajectory& t : initial.trajectories()) {
     if (!ids->insert(t.id()).second) {
       return Status::InvalidArgument("duplicate trajectory id in initial data");
     }
   }
-  if (!data->empty()) {
+  if (!initial.empty()) {
     auto base = std::make_shared<DitaEngine>(cluster_, base_config_);
     DITA_RETURN_IF_ERROR(base->BuildIndex(initial));
     snap->base = std::move(base);
   }
-  snap->base_data = std::move(data);
   snap->base_ids = std::move(ids);
   {
     std::lock_guard<std::mutex> lock(snap_mu_);
@@ -408,10 +405,17 @@ Status DitaService::MergeOnce() {
   // Rebuild outside the write lock: queries keep answering from the old
   // snapshot, and concurrent writes keep landing in the *current* snapshot
   // (visible immediately) while also being recorded in op_log_ for replay.
+  // The base engine's tries own every base trajectory, so the merge input
+  // is read from its partitions: (base \ deleted) + inserts.
   std::vector<Trajectory> new_data;
-  new_data.reserve(src->base_size() + src->inserts.size());
-  for (const Trajectory& t : *src->base_data) {
-    if (src->deleted.count(t.id()) == 0) new_data.push_back(t);
+  new_data.reserve(src->base_size() - src->deleted.size() +
+                   src->inserts.size());
+  if (src->base != nullptr) {
+    for (const DitaEngine::Partition& part : src->base->partitions_) {
+      for (const Trajectory& t : part.trie.trajectories()) {
+        if (src->deleted.count(t.id()) == 0) new_data.push_back(t);
+      }
+    }
   }
   for (const Trajectory& t : src->inserts) new_data.push_back(t);
 
@@ -439,8 +443,6 @@ Status DitaService::MergeOnce() {
     next->epoch = src->epoch + 1;
     next->version = cur->version + 1;
     next->base = std::move(base);
-    next->base_data =
-        std::make_shared<std::vector<Trajectory>>(std::move(new_data));
     next->base_ids = std::move(ids);
     // Replay writes that raced the rebuild: they are already visible in
     // `cur`'s delta, but against the *old* base; re-expressing them against
@@ -1006,26 +1008,17 @@ Result<QueryResult> DitaService::KnnSnapshot(const TableSnapshot& snap,
     return Status::InvalidArgument("k exceeds the table cardinality");
   }
   std::vector<std::pair<TrajectoryId, double>> scored;
-  if (snap.base != nullptr) {
-    // Deleted ids may occupy up to |deleted| of the base's top slots, so
-    // over-fetch by that much; the top-k *live* base answers are then
-    // guaranteed to be present.
-    const size_t kbase =
-        std::min(snap.base_size(), req.k + snap.deleted.size());
-    QueryRequest base_req = req;
-    base_req.k = kbase;
-    base_req.join_right = nullptr;
-    base_req.join_right_service = nullptr;
-    auto r = snap.base->Execute(base_req);
+  // The base pass skips deleted ids outright, so it returns the top live
+  // base answers (all of them when fewer than k are live), whatever the
+  // delete backlog; deleted_filtered counts the deleted ids it met.
+  const size_t kbase =
+      std::min(req.k, snap.base_size() - snap.deleted.size());
+  if (snap.base != nullptr && kbase > 0) {
+    auto r = snap.base->KnnSearchImpl(
+        req.query, kbase, req.collect_stats ? &res.search_stats : nullptr,
+        req.ctx, &snap.deleted, &res.serving.deleted_filtered);
     DITA_RETURN_IF_ERROR(r.status());
-    res.search_stats = std::move(r->search_stats);
-    for (const auto& [id, d] : r->neighbors) {
-      if (snap.deleted.count(id) > 0) {
-        ++res.serving.deleted_filtered;
-      } else {
-        scored.emplace_back(id, d);
-      }
-    }
+    scored = std::move(*r);
   }
   if (split != nullptr) split->base_done_seconds = NowSeconds();
   // Delta trajectories are scored with the same bounded DP kernel the

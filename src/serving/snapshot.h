@@ -18,9 +18,9 @@ namespace dita {
 /// rebuild and base ids deleted since then. Queries pin a snapshot (one
 /// shared_ptr copy) for their whole lifetime, so concurrent ingest and epoch
 /// merges never change what an in-flight query sees; writers publish a new
-/// snapshot instead of mutating this one (copy-on-write — the base engine,
-/// base data, and base-id set are shared across versions of an epoch, only
-/// the small delta vectors are copied per write).
+/// snapshot instead of mutating this one (copy-on-write — the base engine
+/// and base-id set are shared across versions of an epoch, only the small
+/// delta vectors are copied per write).
 ///
 /// Invariants, maintained by DitaService's write path:
 ///  - `deleted` is a subset of `base_ids` (a deleted pending insert is
@@ -39,12 +39,11 @@ struct TableSnapshot {
   /// The epoch's immutable base index; null when the base is empty (fresh
   /// service started without data, or a merge deleted everything). The
   /// engine is built with admission disabled — DitaService's scheduler owns
-  /// admission, and double-gating would deadlock composed queries.
+  /// admission, and double-gating would deadlock composed queries. Its
+  /// tries own the base trajectories: the next epoch merge rebuilds from
+  /// (base's trajectories \ deleted) + inserts.
   std::shared_ptr<const DitaEngine> base;
-  /// The exact trajectories `base` indexes, in build order; the next epoch
-  /// merge rebuilds from (base_data \ deleted) + inserts.
-  std::shared_ptr<const std::vector<Trajectory>> base_data;
-  /// Ids of `base_data`, for O(1) liveness checks.
+  /// Ids of the trajectories `base` indexes, for O(1) liveness checks.
   std::shared_ptr<const std::unordered_set<TrajectoryId>> base_ids;
 
   /// Delta: inserted since the epoch's rebuild, in insertion order (queries
@@ -61,7 +60,7 @@ struct TableSnapshot {
   /// per query.
   std::vector<TrajSignature> insert_sigs;
 
-  size_t base_size() const { return base_data == nullptr ? 0 : base_data->size(); }
+  size_t base_size() const { return base_ids == nullptr ? 0 : base_ids->size(); }
 
   /// Trajectories a query over this snapshot answers about.
   size_t live_size() const {

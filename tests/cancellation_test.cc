@@ -234,6 +234,43 @@ TEST_F(CancellationTest, KnnPartialIsPrefixOfFullAnswer) {
   }
 }
 
+/// The same contract under EDR, whose partition lower bound is 0: every
+/// relevant partition may hold a neighbour at any distance, so a pass
+/// stopped before it finished them all proves nothing and returns an empty
+/// answer with completeness 0 — still a (trivial) prefix of the full one.
+TEST_F(CancellationTest, KnnPartialIsPrefixUnderEditDistance) {
+  DitaConfig config = SmallConfig();
+  config.distance = DistanceType::kEDR;
+  DitaEngine engine(cluster_, config);
+  ASSERT_TRUE(engine.BuildIndex(ds_).ok());
+  const size_t k = 8;
+  const auto full = engine.KnnSearch(ds_[11], k);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->size(), k);
+
+  size_t stops = 0;
+  for (uint64_t cancel_at : {1u, 64u, 512u, 2048u, 8192u}) {
+    QueryContext ctx;
+    ctx.CancelAfterOps(cancel_at);
+    DitaEngine::QueryStats stats;
+    const auto r = engine.KnnSearch(ds_[11], k, 0.0, &stats, &ctx);
+    ASSERT_TRUE(r.ok()) << "cancel_at=" << cancel_at;
+    if (!ctx.stopped()) {
+      EXPECT_EQ(*r, *full);
+      continue;
+    }
+    ++stops;
+    EXPECT_EQ(stats.termination.code(), Status::Code::kCancelled);
+    EXPECT_LE(r->size(), k);
+    EXPECT_DOUBLE_EQ(stats.completeness,
+                     static_cast<double>(r->size()) / static_cast<double>(k));
+    for (size_t i = 0; i < r->size(); ++i) {
+      EXPECT_EQ((*r)[i], (*full)[i]) << "cancel_at=" << cancel_at << " i=" << i;
+    }
+  }
+  EXPECT_GT(stops, 0u) << "no cancel point stopped the pass";
+}
+
 /// Join under budgets / cancellation: pairs are a subset of the full join,
 /// termination is tagged, and the join funnel balances.
 TEST_F(CancellationTest, JoinSubsetUnderBudgetAndCancel) {

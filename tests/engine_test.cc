@@ -311,6 +311,54 @@ TEST_P(EngineKnnProperty, TiesRankByIdAcrossDuplicates) {
   }
 }
 
+/// A kNN query is one pass: a single cluster stage, whatever the metric,
+/// with no per-round re-probing.
+TEST_P(EngineKnnProperty, OnePassRunsOneStage) {
+  auto cluster = MakeCluster();
+  DitaEngine engine(cluster, SmallConfig(GetParam()));
+  Dataset ds = CityDataset(250, 65);
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  std::vector<Trajectory> queries = ds.SampleQueries(3, 23);
+  const Dataset held_out = CityDataset(3, 97);
+  queries.insert(queries.end(), held_out.trajectories().begin(),
+                 held_out.trajectories().end());
+  for (const auto& q : queries) {
+    for (size_t k : {1u, 10u, 60u}) {
+      const uint64_t before = cluster->stages_run();
+      QueryStats stats;
+      ASSERT_TRUE(engine.KnnSearch(q, k, 0.0, &stats).ok());
+      EXPECT_EQ(cluster->stages_run() - before, 1u) << "k=" << k;
+      EXPECT_EQ(stats.results, k);
+      EXPECT_DOUBLE_EQ(stats.completeness, 1.0);
+    }
+  }
+}
+
+/// With the stage's tasks on several threads, they share the heap and its
+/// shrinking bound concurrently; the answer stays the brute-force prefix.
+TEST_P(EngineKnnProperty, ConcurrentTasksShareTheHeapExactly) {
+  ClusterConfig cc;
+  cc.num_workers = 4;
+  cc.execution_threads = 4;
+  DitaConfig config = SmallConfig(GetParam());
+  DitaEngine engine(std::make_shared<Cluster>(cc), config);
+  Dataset ds = CityDataset(250, 65);
+  ASSERT_TRUE(engine.BuildIndex(ds).ok());
+  auto dist = *MakeDistance(GetParam(), config.distance_params);
+
+  const Dataset held_out = CityDataset(4, 101);
+  for (const auto& q : held_out.trajectories()) {
+    const auto all = BruteForceRanking(ds.trajectories(), *dist, q);
+    for (size_t k : {1u, 7u, 25u}) {
+      auto got = engine.KnnSearch(q, k);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<std::pair<TrajectoryId, double>> want(
+          all.begin(), all.begin() + long(k));
+      EXPECT_EQ(*got, want) << dist->name() << " k=" << k;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllDistances, EngineKnnProperty,
                          ::testing::Values(DistanceType::kDTW,
                                            DistanceType::kFrechet,

@@ -754,6 +754,119 @@ TEST_F(DitaServiceTest, EmptyStartThenStreamingBuildUp) {
   EXPECT_EQ(knn_served->neighbors, *knn_oracle);
 }
 
+/// The merge reads its input from the base engine's tries (there is no
+/// separate copy of the base table): across two merges over inserts and
+/// deletes, each publish keeps the live set, and searches and kNN answer as
+/// before the merge and as a fresh engine over the live set.
+TEST_F(DitaServiceTest, MergeFromBaseIndexKeepsLiveSetAndAnswers) {
+  DitaService service(cluster_, config_);
+  ASSERT_TRUE(service.Start(ds_).ok());
+  std::map<TrajectoryId, Trajectory> live;
+  for (const Trajectory& t : ds_.trajectories()) live.emplace(t.id(), t);
+  std::vector<TrajectoryId> all_ids;
+  for (const Trajectory& t : ds_.trajectories()) all_ids.push_back(t.id());
+
+  const auto answers = [&service](const Trajectory& q) {
+    QueryRequest search;
+    search.kind = QueryKind::kSearch;
+    search.query = q;
+    search.tau = 0.05;
+    QueryRequest knn;
+    knn.kind = QueryKind::kKnnSearch;
+    knn.query = q;
+    knn.k = 6;
+    auto s = service.Execute(search);
+    auto k = service.Execute(knn);
+    EXPECT_TRUE(s.ok() && k.ok());
+    return std::make_pair(s.ok() ? s->ids : std::vector<TrajectoryId>{},
+                          k.ok() ? k->neighbors
+                                 : std::vector<std::pair<TrajectoryId, double>>{});
+  };
+  const std::vector<Trajectory> queries = {ds_[3], ds_[40], pool_[5], pool_[9]};
+
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < 8; ++i) {
+      const Trajectory t = PoolAt(round * 8 + i);
+      ASSERT_TRUE(service.Insert(t).ok());
+      live.emplace(t.id(), t);
+      all_ids.push_back(t.id());
+    }
+    // Delete base trajectories (the first round's inserts are base by the
+    // second round) and one pending insert.
+    for (size_t i = 0; i < 6; ++i) {
+      const TrajectoryId victim = all_ids[round * 37 + i * 11];
+      if (live.erase(victim) > 0) {
+        ASSERT_TRUE(service.Delete(victim).ok());
+      }
+    }
+    const TrajectoryId pending = PoolAt(round * 8 + 7).id();
+    ASSERT_TRUE(service.Delete(pending).ok());
+    live.erase(pending);
+
+    std::vector<std::pair<std::vector<TrajectoryId>,
+                          std::vector<std::pair<TrajectoryId, double>>>>
+        before;
+    for (const Trajectory& q : queries) before.push_back(answers(q));
+    ASSERT_TRUE(service.ForceMerge().ok());
+    EXPECT_EQ(service.epoch(), round + 1);
+    EXPECT_EQ(service.delta_ops(), 0u);
+    EXPECT_EQ(service.live_size(), live.size());
+    const auto snap = service.Pin();
+    EXPECT_EQ(snap->base_size(), live.size());
+    for (const TrajectoryId id : all_ids) {
+      EXPECT_EQ(snap->IsLive(id), live.count(id) > 0) << "id " << id;
+    }
+
+    std::vector<Trajectory> live_set;
+    for (const auto& [id, t] : live) live_set.push_back(t);
+    DitaEngine batch(cluster_, SmallConfig());
+    ASSERT_TRUE(batch.BuildIndex(Dataset(live_set)).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const auto after = answers(queries[i]);
+      EXPECT_EQ(after, before[i]) << "round " << round << " query " << i;
+      auto search = batch.Search(queries[i], 0.05);
+      auto knn = batch.KnnSearch(queries[i], 6);
+      ASSERT_TRUE(search.ok() && knn.ok());
+      EXPECT_EQ(after.first, *search) << "round " << round << " query " << i;
+      EXPECT_EQ(after.second, *knn) << "round " << round << " query " << i;
+    }
+  }
+}
+
+/// The base kNN pass skips deleted ids: with most of the base deleted —
+/// including each query itself, at distance 0 — every k up to the whole
+/// live set is the fresh engine's answer, and the deleted ids the pass met
+/// are counted.
+TEST_F(DitaServiceTest, KnnSkipsDeletedIdsWithoutOverFetch) {
+  DitaService service(cluster_, config_);
+  ASSERT_TRUE(service.Start(ds_).ok());
+  std::vector<Trajectory> live;
+  for (size_t i = 0; i < ds_.size(); ++i) {
+    if (i % 5 == 0) {
+      live.push_back(ds_[i]);
+    } else {
+      ASSERT_TRUE(service.Delete(ds_[i].id()).ok());
+    }
+  }
+  DitaEngine batch(cluster_, SmallConfig());
+  ASSERT_TRUE(batch.BuildIndex(Dataset(live)).ok());
+  for (const size_t qi : {size_t(1), size_t(22), size_t(93)}) {
+    for (const size_t k : {size_t(1), size_t(4), live.size()}) {
+      QueryRequest knn;
+      knn.kind = QueryKind::kKnnSearch;
+      knn.query = ds_[qi];  // deleted: its own distance 0 must not rank
+      knn.k = k;
+      auto served = service.Execute(knn);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      auto oracle = batch.KnnSearch(ds_[qi], k);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ(served->neighbors, *oracle) << "query " << qi << " k=" << k;
+      EXPECT_GE(served->serving.deleted_filtered, 1u)
+          << "query " << qi << " k=" << k;
+    }
+  }
+}
+
 TEST_F(DitaServiceTest, KnnTiesRankByIdAcrossBaseAndDelta) {
   // Each of the first 12 base trajectories gets two twins in the delta, one
   // under a lower id and one under a higher id, so distances tie three ways
